@@ -14,7 +14,10 @@ against that ceiling on the same grounding-heavy workload, over real HTTP:
 * **result-cache cold vs hit** — first-request latency (parse + plan +
   ground + evaluate + render) vs a generation-keyed
   :class:`~repro.serving.prepared.ResultCache` hit of the same request.
-  Hits must be **>=10x** faster in the full sweep (>=2x smoke floor).
+  The timings are reported (and gated by ``check_regression.py``); the
+  test itself asserts exact counters from ``/stats``: result-cache hits
+  rise by exactly the number of hit-leg requests, while statement-cache
+  misses and grounding-cache lookups do not move.
 * **mixed read/DML heavy traffic** — reader and writer clients hammer a
   pool concurrently; every answer must equal a serial replay of the
   committed write order at the generation the answer reports, to 1e-9 —
@@ -197,6 +200,7 @@ class TestScale6ResultCache:
         # (sql, params) at the same generation come straight from the
         # result cache.
         try:
+            before = _get(server.address, "/stats")
             hit_samples = []
             for _ in range(PARAMS["hit_repetitions"]):
                 start = time.perf_counter()
@@ -205,22 +209,27 @@ class TestScale6ResultCache:
                 hit_samples.append((time.perf_counter() - start) * 1000.0)
                 assert status == 200
                 assert payload["rows"] == cold_rows  # byte-identical answer
-            stats = _get(server.address, "/stats")
-            assert stats["result_cache"]["hits"] >= \
-                PARAMS["hit_repetitions"], \
-                "the hit leg must actually be served from the result cache"
+            after = _get(server.address, "/stats")
         finally:
             server.shutdown()
+        # Pass/fail on work counted, not on wall-clock: every hit-leg
+        # request was served from the result cache, and none of them
+        # prepared a statement or touched the grounding cache.
+        assert after["result_cache"]["hits"] - \
+            before["result_cache"]["hits"] == PARAMS["hit_repetitions"]
+        assert after["statement_cache"]["misses"] == \
+            before["statement_cache"]["misses"]
+
+        def groundings(stats):
+            return (stats["stats"]["ground_cache_hits"]
+                    + stats["stats"]["ground_cache_misses"])
+
+        assert groundings(after) == groundings(before)
         cold = statistics.median(cold_samples)
         hit = statistics.median(hit_samples)
         speedup = cold / hit
         rows = [("cold", len(cold_samples), round(cold, 3)),
                 ("hit", len(hit_samples), round(hit, 3))]
-        floor = 2.0 if BENCH_SMOKE else 10.0
-        assert speedup >= floor, (
-            f"result-cache hits must amortise execution "
-            f"(cold={cold:.3f}ms hit={hit:.3f}ms = {speedup:.1f}x, "
-            f"floor {floor}x)")
         headers = ["leg", "samples", "median ms"]
         print_table("SCALE-6: result cache cold vs hit", headers, rows)
         write_bench_json("BENCH_SCALE6_cache", headers, rows,

@@ -182,6 +182,23 @@ def _reorder_row(schema: Schema, row: tuple,
     return tuple(by_name.get(column.name.lower()) for column in schema)
 
 
+def _dml_result(verb: str, counts: list[int]) -> StatementResult:
+    """An UPDATE / DELETE result from the per-world affected-row counts.
+
+    Every world affects the same rows of a certain relation, so the count is
+    per world (as on the wsd backend), not summed over worlds.  When worlds
+    disagree there is no single count: ``rowcount`` is ``None`` and the
+    message gives the range.
+    """
+    low, high = min(counts), max(counts)
+    if low == high:
+        return StatementResult(kind="command",
+                               message=f"{verb} {low} row(s)", rowcount=low)
+    return StatementResult(
+        kind="command",
+        message=f"{verb} {low}-{high} row(s) per world", rowcount=None)
+
+
 def create_backend(kind: str,
                    catalog: Catalog | dict[str, Relation] | None = None,
                    budgets: ResourceBudgets | dict | None = None,
@@ -431,7 +448,7 @@ class ExplicitBackend(ExecutionBackend):
 
     def _execute_update(self, statement: Update) -> StatementResult:
         executor = self._executor()
-        total = 0
+        counts = []
         new_worlds = []
         for world in self.world_set.worlds:
             relation = world.relation(statement.table).copy()
@@ -454,7 +471,7 @@ class ExplicitBackend(ExecutionBackend):
                     values[index] = assignment.expression.evaluate(context)
                 return tuple(values)
 
-            total += relation.update_where(matches, updated)
+            counts.append(relation.update_where(matches, updated))
             key = self.primary_keys.get(statement.table.lower())
             if key is not None and not check_key(relation, key):
                 raise ConstraintViolationError(
@@ -462,13 +479,11 @@ class ExplicitBackend(ExecutionBackend):
                     f"{world.label!r}; update discarded in all worlds")
             new_worlds.append(world.with_relation(statement.table, relation))
         self.world_set = WorldSet(new_worlds)
-        return StatementResult(kind="command",
-                               message=f"updated {total} row(s)",
-                               rowcount=total)
+        return _dml_result("updated", counts)
 
     def _execute_delete(self, statement: Delete) -> StatementResult:
         executor = self._executor()
-        total = 0
+        counts = []
         new_worlds = []
         for world in self.world_set.worlds:
             relation = world.relation(statement.table).copy()
@@ -482,12 +497,10 @@ class ExplicitBackend(ExecutionBackend):
                                       subquery_evaluator=env.subquery_evaluator)
                 return statement.where.evaluate(context) is True
 
-            total += relation.delete_where(matches)
+            counts.append(relation.delete_where(matches))
             new_worlds.append(world.with_relation(statement.table, relation))
         self.world_set = WorldSet(new_worlds)
-        return StatementResult(kind="command",
-                               message=f"deleted {total} row(s)",
-                               rowcount=total)
+        return _dml_result("deleted", counts)
 
     # -- EXPLAIN ----------------------------------------------------------------------------------------------
 
@@ -580,7 +593,8 @@ class WsdBackend(ExecutionBackend):
         #: Accumulated per-strategy counters across all executed statements
         #: (symbolic / aggregate / grouping / setops / component_joint
         #: tiers, plus the fallback, aggregate_fallbacks and group_fallbacks
-        #: escape counters and the grounding-cache hit/miss accounting).
+        #: escape counters and the grounding-cache hit / miss / eviction
+        #: accounting).
         self.stats = WsdExecutionStats()
         #: Accumulated confidence-computation counters (closed forms, d-tree
         #: rule firings, memo hits and — crucially for CI — enumeration
@@ -589,9 +603,9 @@ class WsdBackend(ExecutionBackend):
         #: Accumulated decomposed-aggregate counters (queries, clusters,
         #: convolutions, peak state count) across all executed statements.
         self.aggregate_stats = AggregateStats()
-        #: Memoised symbolic groundings shared across statements, keyed on
-        #: (decomposition generation, relation name); see
-        #: :meth:`repro.wsd.execute.WSDExecutor._ground`.  The dict is read
+        #: Memoised symbolic groundings of the current decomposition shared
+        #: across statements, keyed on (relation version, relation name);
+        #: see :meth:`repro.wsd.execute.WSDExecutor._ground`.  The dict is read
         #: and written by every serving thread, so executors guard all
         #: access with :attr:`_ground_lock` — same one-mutex-per-shared-
         #: structure discipline as :attr:`_stats_lock` and the shared plan
@@ -640,7 +654,7 @@ class WsdBackend(ExecutionBackend):
         if self._has_relation(table_name):
             raise DuplicateRelationError(table_name)
         add_certain_relation(self.decomposition.template, relation, table_name)
-        self.decomposition.bump_generation()
+        self.decomposition.renew_versions()
 
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
         rows = [tuple(row) for row in rows]
@@ -890,7 +904,9 @@ class WsdBackend(ExecutionBackend):
         template = self.decomposition.template
         for row in rows:
             template.add_tuple(canonical, row)
-        self.decomposition.bump_generation()
+        # Constant rows add no field and touch no component, so only this
+        # relation's grounding changes.
+        self.decomposition.bump_version(canonical)
         return len(rows)
 
     def _execute_update(self, statement: Update) -> StatementResult:
@@ -924,7 +940,7 @@ class WsdBackend(ExecutionBackend):
             raise ConstraintViolationError(
                 f"update of {statement.table} violates the key; "
                 "update discarded in all worlds")
-        self._replace_certain_rows(canonical, updated)
+        self._replace_certain_rows(canonical, updated.rows)
         return StatementResult(kind="command",
                                message=f"updated {total} row(s)",
                                rowcount=total)
@@ -945,8 +961,7 @@ class WsdBackend(ExecutionBackend):
                 total += 1
             else:
                 kept.append(row)
-        self._replace_certain_rows(
-            canonical, Relation(relation.schema, kept, name=canonical))
+        self._replace_certain_rows(canonical, kept)
         return StatementResult(kind="command",
                                message=f"deleted {total} row(s)",
                                rowcount=total)
@@ -974,12 +989,8 @@ class WsdBackend(ExecutionBackend):
                 "wsd backend; re-derive it with CREATE TABLE ... AS instead")
         return canonical
 
-    def _replace_certain_rows(self, name: str, relation: Relation) -> None:
-        template = self.decomposition.template
-        new_template = Template(dict(template.schemas),
-                                [t for t in template.tuples
-                                 if t.relation != name])
-        for row in relation.rows:
-            new_template.add_tuple(name, row)
-        self.decomposition = WorldSetDecomposition(
-            new_template, self.decomposition.components)
+    def _replace_certain_rows(self, name: str, rows: list[tuple]) -> None:
+        """Swap the certain relation *name*'s rows in place (UPDATE /
+        DELETE): no component changes, so only its version is renewed."""
+        self.decomposition.template.replace_constant_tuples(name, rows)
+        self.decomposition.bump_version(name)

@@ -131,6 +131,18 @@ class Template:
         """The template tuples of *relation*, in insertion order."""
         return [t for t in self.tuples if t.relation == relation]
 
+    def replace_constant_tuples(self, relation: str,
+                                rows: Iterable[Sequence[Any]]) -> None:
+        """Replace every template tuple of *relation* by constant *rows*.
+
+        Only for a certain relation (no fields): dropping its tuples can then
+        uncover no field, and constant rows add none, so the decomposition's
+        invariants need no re-validation.
+        """
+        self.tuples = [t for t in self.tuples if t.relation != relation]
+        for row in rows:
+            self.add_tuple(relation, row)
+
     def all_fields(self) -> set[Field]:
         """Every field referenced anywhere in the template."""
         return {f for t in self.tuples for f in t.fields()}
@@ -141,8 +153,8 @@ class Template:
                    if not isinstance(cell, Field))
 
 
-#: Monotonic source of decomposition generations (see ``generation`` below).
-_GENERATIONS = _counter(1)
+#: Monotonic, process-wide source of relation versions (see ``versions``).
+_VERSIONS = _counter(1)
 
 
 class WorldSetDecomposition:
@@ -152,17 +164,28 @@ class WorldSetDecomposition:
                  components: Iterable[Component] = ()) -> None:
         self.template = template
         self.components: list[Component] = list(components)
-        #: Cache key for derived per-state artefacts (symbolic groundings):
-        #: unique per constructed decomposition, so any derivation — install,
-        #: ``assert``, decorations, normalisation — invalidates implicitly.
-        #: In-place template mutation (backend DML) calls
-        #: :meth:`bump_generation` explicitly.
-        self.generation = next(_GENERATIONS)
         self._validate()
+        #: Per-relation cache key for derived artefacts (symbolic
+        #: groundings): relation name -> a version no other state of that
+        #: relation ever had.  Ground tuples embed component *indices*, so a
+        #: version is only ever carried between states that share this
+        #: component list: every constructed decomposition — install,
+        #: ``assert``, decorations, normalisation, recovery — starts with
+        #: fresh versions for all relations; in-place DML on one certain
+        #: relation renews only that relation's (:meth:`bump_version`).
+        self.versions: dict[str, int] = {}
+        self.renew_versions()
 
-    def bump_generation(self) -> None:
-        """Invalidate generation-keyed caches after in-place mutation."""
-        self.generation = next(_GENERATIONS)
+    def renew_versions(self) -> None:
+        """Give every relation a fresh version (after an in-place change
+        that may touch components, fields or component indices)."""
+        self.versions = {name: next(_VERSIONS)
+                         for name in self.template.schemas}
+
+    def bump_version(self, relation: str) -> None:
+        """Give *relation* alone a fresh version: its constant template
+        tuples changed in place, nothing else did."""
+        self.versions[relation] = next(_VERSIONS)
 
     # -- invariants ----------------------------------------------------------------------
 

@@ -274,10 +274,12 @@ class WsdExecutionStats:
     compounds, non-compilable grouping mains) that escaped to the guarded
     component-joint grouping — CI asserts this stays zero on the supported
     classes.  ``ground_cache_hits`` / ``ground_cache_misses`` account the
-    memoised symbolic grounding (per relation, keyed on the decomposition
-    generation).  ``approximate_answers`` counts statements whose answer
-    involved the anytime Monte-Carlo tier (once per executor, i.e. per
-    statement) and ``sample_counts`` the total samples those estimates drew.
+    memoised symbolic grounding (per relation, keyed on the relation's
+    version) and ``ground_cache_evictions`` the superseded base groundings
+    a miss dropped from the shared cache.  ``approximate_answers`` counts
+    statements whose answer involved the anytime Monte-Carlo tier (once per
+    executor, i.e. per statement) and ``sample_counts`` the total samples
+    those estimates drew.
     ``columnar_batches`` counts filter / projection / join-key batches the
     columnar engine (:mod:`repro.wsd.columnar`) evaluated as parallel
     column arrays; ``rowwise_fallbacks`` counts batches that kept (or were
@@ -296,6 +298,7 @@ class WsdExecutionStats:
     group_fallbacks: int = 0
     ground_cache_hits: int = 0
     ground_cache_misses: int = 0
+    ground_cache_evictions: int = 0
     approximate_answers: int = 0
     sample_counts: int = 0
     columnar_batches: int = 0
@@ -313,6 +316,7 @@ class WsdExecutionStats:
         self.group_fallbacks += other.group_fallbacks
         self.ground_cache_hits += other.ground_cache_hits
         self.ground_cache_misses += other.ground_cache_misses
+        self.ground_cache_evictions += other.ground_cache_evictions
         self.approximate_answers += other.approximate_answers
         self.sample_counts += other.sample_counts
         self.columnar_batches += other.columnar_batches
@@ -496,15 +500,18 @@ class WSDExecutor:
         self._engines: dict[int, tuple[WorldSetDecomposition, DTreeEngine]] = {}
         self._samplers: dict[int, tuple[WorldSetDecomposition,
                                         AnytimeSampler]] = {}
-        #: Memoised symbolic groundings keyed on (decomposition generation,
-        #: relation name); shareable across executors via the constructor so
-        #: repeated queries over unchanged tables skip re-grounding.  When a
-        #: backend shares the dict across serving threads it passes the lock
-        #: that guards it; a private cache needs no lock.
+        #: Memoised groundings of the base decomposition keyed on (relation
+        #: version, relation name); shareable across executors via the
+        #: constructor so repeated queries over unchanged tables skip
+        #: re-grounding.  When a backend shares the dict across serving
+        #: threads it passes the lock that guards it; a private cache needs
+        #: no lock.  See :meth:`_ground`.
         self._ground_cache: dict = (ground_cache if ground_cache is not None
                                     else {})
         self._ground_lock = (ground_lock if ground_lock is not None
                              else threading.Lock())
+        #: Groundings of this statement's working copies, same keys.
+        self._working_groundings: dict = {}
         #: Compiled aggregate/grouping shape analyses, served from the
         #: process-wide :data:`~repro.wsd.plan_cache.GLOBAL_PLAN_CACHE`
         #: unless the caller passes its own cache.  Plans are immutable pure
@@ -906,9 +913,8 @@ class WSDExecutor:
                 pending.append(conjunct)
         return source, pending
 
-    def _ground(self, working: WorldSetDecomposition, name: str, alias: str,
-                component_of: Optional[dict[Field, int]] = None
-                ) -> SymbolicRelation:
+    def _ground(self, working: WorldSetDecomposition, name: str,
+                alias: str) -> SymbolicRelation:
         """Ground the template tuples of *name* into condition-annotated rows.
 
         This is where predicates become pushable: each template tuple is
@@ -916,53 +922,60 @@ class WSDExecutor:
         *local* component alternatives, so the expansion is linear in the
         decomposition's storage size, never in the world count.
 
-        Groundings are memoised per relation, keyed on the decomposition's
-        generation counter (bumped whenever install / ``assert`` /
-        decorations / DML derive a new state), so repeated queries over
-        unchanged tables reuse the expanded tuples; only the alias qualifier
-        is re-applied per reference.  The ground tuples are shared read-only
+        Groundings are memoised per relation, keyed on ``(version, name)``
+        (:attr:`WorldSetDecomposition.versions`): a write to one relation
+        renews only that relation's version, so every other relation's
+        grounding survives it; only the alias qualifier is re-applied per
+        reference.  Groundings of the base decomposition live in the cache
+        the backend shares across statements and threads, which only ever
+        holds the current state: a miss there evicts every entry whose
+        version the base no longer has (superseded by DML or by a new
+        state), counted in ``ground_cache_evictions``.  Working copies
+        (``assert``, decorations, views, derived tables) carry fresh versions
+        per statement, so their groundings stay in a per-statement dict and
+        can never hit a base entry.  The ground tuples are shared read-only
         — downstream operators always build new lists.
         """
-        if component_of is not None:
-            # Scratch decompositions (per-tuple grounding) bypass the cache.
-            return SymbolicRelation(
-                working.template.schemas[name].with_qualifier(alias),
-                self._ground_tuples(working, name, component_of))
-        generation = getattr(working, "generation", None)
-        key = (generation, name)
-        if generation is not None:
-            # The grounding cache is shared across serving threads, so every
-            # read / insert (and the hit / miss accounting tied to them)
-            # happens under its lock — same discipline as the shared plan
-            # cache.  The expansion itself runs outside the lock: a
-            # concurrent duplicate expansion is benign (last write wins on
-            # identical read-only tuples) and keeps lock hold times bounded.
+        key = (working.versions[name], name)
+        shared = working is self.base
+        # The shared cache is read and written by every serving thread, so
+        # every lookup / insert / eviction happens under its lock — same
+        # discipline as the shared plan cache.  The expansion itself runs
+        # outside the lock: a concurrent duplicate expansion is benign (last
+        # write wins on identical read-only tuples) and keeps lock hold
+        # times bounded.
+        if shared:
             with self._ground_lock:
                 cached = self._ground_cache.get(key)
-                if cached is not None:
-                    self.stats.ground_cache_hits += 1
         else:
-            cached = None
-        if cached is None:
-            cached = self._ground_tuples(working, name,
-                                         self._component_index(working))
-            if generation is not None:
+            cached = self._working_groundings.get(key)
+        if cached is not None:
+            self.stats.ground_cache_hits += 1
+        else:
+            self.stats.ground_cache_misses += 1
+            cached = self._ground_tuples(
+                working, working.template.relation_tuples(name),
+                self._component_index(working))
+            if shared:
                 with self._ground_lock:
-                    self.stats.ground_cache_misses += 1
-                    if len(self._ground_cache) >= 128:
-                        self._ground_cache.clear()
+                    stale = [entry for entry in self._ground_cache
+                             if working.versions.get(entry[1]) != entry[0]]
+                    for entry in stale:
+                        del self._ground_cache[entry]
                     self._ground_cache[key] = cached
+                self.stats.ground_cache_evictions += len(stale)
             else:
-                self.stats.ground_cache_misses += 1
+                self._working_groundings[key] = cached
         return SymbolicRelation(
             working.template.schemas[name].with_qualifier(alias), cached)
 
-    def _ground_tuples(self, working: WorldSetDecomposition, name: str,
+    def _ground_tuples(self, working: WorldSetDecomposition,
+                       template_tuples: Iterable[TemplateTuple],
                        component_of: dict[Field, int]) -> list[SymTuple]:
-        """The expanded (condition-annotated) ground tuples of *name*."""
-        template = working.template
+        """The expanded (condition-annotated) ground tuples of
+        *template_tuples* under *working*'s components."""
         out: list[SymTuple] = []
-        for template_tuple in template.relation_tuples(name):
+        for template_tuple in template_tuples:
             fields = template_tuple.fields()
             if not fields:
                 out.append(SymTuple(template_tuple.cells, TRUE_CONDITION))
@@ -2299,17 +2312,9 @@ class WSDExecutor:
                          ) -> list[tuple[TemplateTuple, list[SymTuple]]]:
         """Ground each template tuple of *name* separately (for pruning)."""
         component_of = self._component_index(working)
-        grouped: list[tuple[TemplateTuple, list[SymTuple]]] = []
-        for template_tuple in working.template.relation_tuples(name):
-            scratch = Template({name: working.template.schemas[name]},
-                               [template_tuple])
-            scratch_wsd = WorldSetDecomposition.__new__(WorldSetDecomposition)
-            scratch_wsd.template = scratch
-            scratch_wsd.components = working.components
-            sym = self._ground(scratch_wsd, name, name,
-                               component_of=component_of)
-            grouped.append((template_tuple, sym.tuples))
-        return grouped
+        return [(template_tuple,
+                 self._ground_tuples(working, [template_tuple], component_of))
+                for template_tuple in working.template.relation_tuples(name)]
 
     def _generic_event(self, working: WorldSetDecomposition,
                        expression: Expression

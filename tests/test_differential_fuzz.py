@@ -11,7 +11,8 @@ world-sets.
 
 The invariant: statement by statement, both backends produce identical
 answers — rows, confidences and per-world answer distributions agree to
-1e-9 — or both refuse with an engine error.  This is the standing safety
+1e-9, DML reports the same affected-row count — or both refuse with an
+engine error.  This is the standing safety
 net for executor refactors: any rewriting of the symbolic, aggregate,
 grouping or set-operation tiers that changes semantics on *any* generated
 shape fails here before it lands.
@@ -290,6 +291,8 @@ def assert_statement_parity(statement_sql, expected, actual):
     context = f"statement: {statement_sql}"
     if expected.kind == "command":
         assert actual.kind == "command", context
+        # DML counts affected rows per world on both backends.
+        assert actual.rowcount == expected.rowcount, context
         return
     if expected.is_rows():
         assert actual.is_rows(), context

@@ -16,6 +16,7 @@ Two layers of coverage:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -352,10 +353,18 @@ class TestConcurrentSessionStress:
                    for i in range(self.READERS)]
         threads += [threading.Thread(target=writer, args=(i,))
                     for i in range(self.WRITERS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        # Frequent thread switches interleave the shared grounding cache's
+        # lookups, inserts and evictions as finely as possible.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert len(commits) == self.WRITERS * self.WRITES_PER_THREAD
         # Commit generations are dense and unique: every write serialised.
@@ -381,8 +390,12 @@ class TestConcurrentSessionStress:
             for actual_row, serial_row in zip(rows, serial):
                 assert actual_row == pytest.approx(serial_row, abs=1e-9), sql
         # The grounding cache was exercised (hits occurred) and — by the
-        # parity above — never served a stale generation.
+        # parity above — never served a stale version; the shared cache ends
+        # up holding the current state's groundings only.
         assert db.backend.stats.ground_cache_hits > 0
+        versions = db.decomposition.versions
+        assert all(versions[name] == version
+                   for version, name in db.backend._ground_cache)
 
     def test_explicit_backend_serialises_writers_too(self):
         db = MayBMS(backend="explicit")

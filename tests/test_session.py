@@ -115,11 +115,18 @@ class TestDml:
         assert all(row[0] != "a1" for row in db_figure1.relation("R").rows)
 
     def test_update_runs_independently_per_world(self, db_figure2):
-        db_figure2.execute("update I set B = 0 where C = 'c1';")
+        result = db_figure2.execute("update I set B = 0 where C = 'c1';")
         zero_counts = sorted(
             sum(1 for row in world.relation("I").rows if row[1] == 0)
             for world in db_figure2.world_set)
         assert zero_counts == [0, 0, 1, 1]  # only the worlds containing c1
+        # Worlds disagree on the count: no single rowcount, a range instead.
+        assert result.rowcount is None
+        assert result.message == "updated 0-1 row(s) per world"
+        # A certain relation loses the same rows in all four worlds: the
+        # count is per world, not summed over worlds.
+        assert db_figure2.execute(
+            "delete from R where A = 'a1';").rowcount == 2
 
     def test_insert_select_requires_world_independent_answer(self, db_figure2):
         with pytest.raises(UnsupportedFeatureError):

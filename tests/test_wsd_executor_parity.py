@@ -365,7 +365,7 @@ def test_grouping_corpus_agrees_with_enumerate_baseline(query):
 
 
 class TestGroundingCache:
-    """The memoised symbolic grounding (generation-keyed) satellite."""
+    """The memoised symbolic grounding (keyed per relation version)."""
 
     def test_repeated_queries_reuse_grounding(self):
         _, wsd = build_sessions(WEIGHTED_SETUP)
@@ -381,10 +381,14 @@ class TestGroundingCache:
     def test_generation_bumps_invalidate_on_dml(self):
         _, wsd = build_sessions(WEIGHTED_SETUP)
         wsd.execute("select possible A from R;")
-        generation = wsd.decomposition.generation
+        versions = dict(wsd.decomposition.versions)
         wsd.execute("insert into R values ('a9', 1, 'c9', 1);")
-        assert wsd.decomposition.generation != generation
-        # The fresh generation misses the cache, then caches again.
+        after = wsd.decomposition.versions
+        # Only the written relation gets a new version.
+        assert after["R"] != versions["R"]
+        assert all(after[name] == version
+                   for name, version in versions.items() if name != "R")
+        # The fresh version misses the cache, then caches again.
         misses = wsd.backend.stats.ground_cache_misses
         result = wsd.execute("select possible A from R;")
         assert wsd.backend.stats.ground_cache_misses > misses
@@ -392,9 +396,12 @@ class TestGroundingCache:
 
     def test_install_derives_fresh_generation(self):
         _, wsd = build_sessions(WEIGHTED_SETUP)
-        before = wsd.decomposition.generation
+        before = dict(wsd.decomposition.versions)
         wsd.execute("create table K as select A, B from I where B >= 15;")
-        assert wsd.decomposition.generation != before
+        # An install may renumber components, so every relation's version
+        # is renewed.
+        assert all(wsd.decomposition.versions[name] != version
+                   for name, version in before.items())
 
 
 class TestSessionStateParity:
