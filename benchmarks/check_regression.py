@@ -57,19 +57,19 @@ BENCHES = {
     },
     "BENCH_SCALE2": {
         "key": ["point"],
-        "latency": ["explicit", "joint enumeration", "d-tree"],
+        "latency": ["explicit", "d-tree"],
         "counters": [],
     },
     "BENCH_SCALE3": {
         "key": ["point"],
-        "latency": ["explicit (last q)", "joint enumeration",
-                    "convolution worst", "possible sum", "possible avg"],
+        "latency": ["explicit (last q)", "convolution worst",
+                    "possible sum", "possible avg"],
         "counters": [],
     },
     "BENCH_SCALE4": {
         "key": ["point"],
-        "latency": ["explicit (last q)", "joint enumeration worst",
-                    "native worst", "group by local sum", "except"],
+        "latency": ["explicit (last q)", "native worst",
+                    "group by local sum", "except"],
         "counters": [],
     },
     "BENCH_SCALE5": {

@@ -99,19 +99,13 @@ def scale2_correlated_parameters() -> dict:
 
     ``groups`` are the sweep points (key groups of the dirty relation, each a
     component of the repair; the self-join correlates neighbouring groups, so
-    the old joint enumeration is ``options ** groups``).
-    ``explicit_limit`` bounds the world count the explicit backend runs at;
-    ``joint_limit`` is the enumeration limit handed to the old
-    joint-enumeration confidence path, so even the smoke sweep has a point
-    where that path provably gives up.
+    a joint enumeration would be ``options ** groups``).
+    ``explicit_limit`` bounds the world count the explicit backend runs at.
     """
     if BENCH_SMOKE:
-        # Tiny sweep, tiny guard: the largest point still exceeds the
-        # lowered joint limit, so the infeasibility branch is exercised.
-        return {"groups": (3, 6), "options": 2, "explicit_limit": 64,
-                "joint_limit": 16}
+        return {"groups": (3, 6), "options": 2, "explicit_limit": 64}
     return {"groups": (4, 8, 12, 16, 20, 24), "options": 2,
-            "explicit_limit": 256, "joint_limit": None}
+            "explicit_limit": 256}
 
 
 def scale3_aggregate_parameters() -> dict:
@@ -120,19 +114,15 @@ def scale3_aggregate_parameters() -> dict:
     ``groups`` are the sweep points (key groups of the dirty relation, each
     one independent component of the repair, so the world count is
     ``options ** groups``).  ``explicit_limit`` bounds the points the
-    explicit backend materialises; the joint-enumeration baseline
-    (``aggregate_engine="enumerate"``) runs under the executor's default
-    enumeration guard and provably refuses from ``~2^20`` worlds — the sweep
-    jumps from a joint-feasible point straight past that cliff.
-    ``payload_domain`` keeps aggregate values in a small range so the
-    distinct partial sums stay pseudo-polynomial (the regime the
-    Minkowski-sum DP exploits).
+    explicit backend materialises.  ``payload_domain`` keeps aggregate
+    values in a small range so the distinct partial sums stay
+    pseudo-polynomial (the regime the Minkowski-sum DP exploits).
     """
     if BENCH_SMOKE:
         return {"groups": (3, 6), "options": 2, "explicit_limit": 16,
-                "joint_limit": 16, "payload_domain": 10}
+                "payload_domain": 10}
     return {"groups": (8, 12, 20, 24), "options": 2, "explicit_limit": 256,
-            "joint_limit": None, "payload_domain": 10}
+            "payload_domain": 10}
 
 
 def scale4_grouping_parameters() -> dict:
@@ -140,18 +130,15 @@ def scale4_grouping_parameters() -> dict:
 
     ``groups`` are the sweep points (key groups of the dirty relation, one
     independent component each; world count is ``options ** groups``).
-    ``explicit_limit`` bounds the points the explicit backend materialises;
-    the guarded component-joint grouping baseline
-    (``grouping_engine="enumerate"``) runs under the executor's default
-    enumeration guard and provably refuses from ``~2^20`` worlds.
+    ``explicit_limit`` bounds the points the explicit backend materialises.
     ``payload_domain`` keeps the grouping aggregate's value lattice small so
     the native engine's convolution states stay pseudo-polynomial.
     """
     if BENCH_SMOKE:
         return {"groups": (3, 6), "options": 2, "explicit_limit": 16,
-                "joint_limit": 16, "payload_domain": 6}
+                "payload_domain": 6}
     return {"groups": (8, 10, 20, 24), "options": 2, "explicit_limit": 256,
-            "joint_limit": None, "payload_domain": 6}
+            "payload_domain": 6}
 
 
 def approx1_parameters() -> dict:

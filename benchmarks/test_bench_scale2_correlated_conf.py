@@ -1,4 +1,4 @@
-"""BENCH_SCALE2 — correlated ``conf``: d-tree vs. joint enumeration vs. explicit.
+"""BENCH_SCALE2 — correlated ``conf``: d-tree vs. explicit.
 
 SCALE-1 showed that ``conf`` over *independent* components is linear on the
 decomposition.  This series measures the query class that is **not** covered
@@ -6,21 +6,17 @@ by the single-atom closed form: a self-join over a key-repaired relation
 whose join conditions correlate neighbouring key groups, producing a
 disjunction of *multi-atom* conjunctions over a chain of components.
 
-Three engines answer the same query at every sweep point:
+Two engines answer the same query:
 
 * **explicit** — one answer per world (only at the small points);
-* **joint enumeration** — the pre-d-tree WSD confidence path
-  (``confidence_engine="enumerate"``): exponential in the touched
-  components, it hits :class:`~repro.errors.EnumerationLimitError` long
-  before the representation does;
 * **d-tree** — the exact decomposition-tree engine
   (:mod:`repro.wsd.confidence`): polynomial on this (hierarchical) DNF.
 
-All engines must agree exactly (1e-9) wherever they can answer at all, the
-d-tree path must never fall back to enumeration on this workload
-(``confidence_stats.enumeration_fallbacks == 0`` — asserted here and relied
-on by the CI bench-smoke job), and at the largest point the d-tree must
-answer a query the old path refuses.
+Both engines must agree exactly (1e-9) wherever the explicit backend can
+answer at all, the d-tree path must never fall back to joint enumeration on
+this workload (``confidence_stats.enumeration_fallbacks == 0`` — asserted
+here and relied on by the CI bench-smoke job), and at the largest point the
+d-tree must answer a query the explicit backend cannot materialise.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import time
 import pytest
 
 from repro import MayBMS
-from repro.errors import EnumerationLimitError
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
@@ -65,11 +60,8 @@ def _build_inputs(groups: int):
     return relation, link
 
 
-def _wsd_session(relation, link, confidence: str):
+def _wsd_session(relation, link):
     db = MayBMS({"Dirty": relation, "L": link}, backend="wsd")
-    db.backend.confidence_engine = confidence
-    if PARAMS["joint_limit"] is not None and confidence == "enumerate":
-        db.backend.enumeration_limit = PARAMS["joint_limit"]
     db.execute(REPAIR_STATEMENT)
     return db
 
@@ -80,14 +72,13 @@ def _timed(callable_):
     return result, (time.perf_counter() - start) * 1000.0
 
 
-def test_scale2_correlated_conf_dtree_vs_enumeration_vs_explicit(benchmark):
+def test_scale2_correlated_conf_dtree_vs_explicit(benchmark):
     rows = []
-    infeasible_joint_points = 0
     for groups in PARAMS["groups"]:
         relation, link = _build_inputs(groups)
         world_count = PARAMS["options"] ** groups
 
-        dtree_db = _wsd_session(relation, link, "dtree")
+        dtree_db = _wsd_session(relation, link)
         dtree_result, dtree_ms = _timed(lambda: dtree_db.execute(CONF_QUERY))
         dtree_conf = dtree_result.rows()[0][0]
         stats = dtree_db.backend.confidence_stats
@@ -97,19 +88,6 @@ def test_scale2_correlated_conf_dtree_vs_enumeration_vs_explicit(benchmark):
         assert stats.dtree >= 1
         assert stats.enumeration_fallbacks == 0
         assert dtree_db.backend.stats.fallback == 0
-
-        enum_db = _wsd_session(relation, link, "enumerate")
-        joint_limit = enum_db.backend.enumeration_limit
-        if joint_limit is None or world_count <= joint_limit:
-            enum_result, enum_ms = _timed(lambda: enum_db.execute(CONF_QUERY))
-            enum_conf = enum_result.rows()[0][0]
-            assert enum_conf == pytest.approx(dtree_conf, abs=1e-9)
-            enum_cell = round(enum_ms, 2)
-        else:
-            with pytest.raises(EnumerationLimitError):
-                enum_db.execute(CONF_QUERY)
-            infeasible_joint_points += 1
-            enum_cell = "EnumerationLimitError"
 
         if world_count <= PARAMS["explicit_limit"]:
             explicit_db = MayBMS({"Dirty": relation, "L": link})
@@ -122,28 +100,22 @@ def test_scale2_correlated_conf_dtree_vs_enumeration_vs_explicit(benchmark):
         else:
             explicit_cell = "infeasible"
 
-        rows.append((f"G{groups}", world_count, explicit_cell, enum_cell,
+        rows.append((f"G{groups}", world_count, explicit_cell,
                      round(dtree_ms, 2), round(dtree_conf, 6)))
-    assert infeasible_joint_points > 0, (
-        "the sweep must include a point the joint-enumeration path refuses")
     if not BENCH_SMOKE:
-        # Acceptance bar: the largest point — infeasible for both baselines —
-        # answers exactly via the d-tree in well under 50ms.
+        # Acceptance bar: the largest point — infeasible for the explicit
+        # backend — answers exactly via the d-tree in well under 50ms.
         assert rows[-1][2] == "infeasible"
-        assert rows[-1][3] == "EnumerationLimitError"
-        assert rows[-1][4] < 50.0, (
-            f"d-tree conf took {rows[-1][4]}ms at the largest point")
-    print_table("BENCH_SCALE2: correlated conf latency (ms)",
-                ["point", "worlds", "explicit", "joint enumeration",
-                 "d-tree", "conf"], rows)
-    write_bench_json("BENCH_SCALE2",
-                     ["point", "worlds", "explicit", "joint enumeration",
-                      "d-tree", "conf"], rows)
+        assert rows[-1][3] < 50.0, (
+            f"d-tree conf took {rows[-1][3]}ms at the largest point")
+    headers = ["point", "worlds", "explicit", "d-tree", "conf"]
+    print_table("BENCH_SCALE2: correlated conf latency (ms)", headers, rows)
+    write_bench_json("BENCH_SCALE2", headers, rows)
 
     # One stable timing for the benchmark harness: the d-tree at the largest
-    # (joint-enumeration-infeasible) point.
+    # (explicit-infeasible) point.
     relation, link = _build_inputs(PARAMS["groups"][-1])
-    db = _wsd_session(relation, link, "dtree")
+    db = _wsd_session(relation, link)
     answer = benchmark(lambda: db.execute(CONF_QUERY))
     assert 0.0 <= answer.rows()[0][0] <= 1.0 + 1e-9
 
@@ -165,11 +137,11 @@ def test_scale2_correlated_per_row_conf_parity(benchmark):
     explicit_db.execute(REPAIR_STATEMENT)
     expected = canonical(explicit_db.execute(query))
 
-    dtree_db = _wsd_session(relation, link, "dtree")
+    dtree_db = _wsd_session(relation, link)
     assert canonical(dtree_db.execute(query)) == expected
 
     large_relation, large_link = _build_inputs(PARAMS["groups"][-1])
-    large_db = _wsd_session(large_relation, large_link, "dtree")
+    large_db = _wsd_session(large_relation, large_link)
     result = benchmark(lambda: large_db.execute(query))
     assert len(result.rows()) > 0
     assert large_db.backend.confidence_stats.enumeration_fallbacks == 0

@@ -1,22 +1,18 @@
-"""BENCH_SCALE3 — decomposed aggregates: convolution vs. joint enumeration vs. explicit.
+"""BENCH_SCALE3 — decomposed aggregates: convolution vs. explicit.
 
 SCALE-1/2 made selection and confidence scale with the representation; this
 series does the same for the last exponential query class: **aggregates**.
 A repair-key decomposition with ``2^24`` worlds is swept through a
 SUM / COUNT / AVG / MIN / MAX series (``possible`` / ``conf`` / subquery
-decorated), answered by three engines:
+decorated), answered by two engines:
 
 * **explicit** — materialise every world (only at the smallest point);
-* **joint enumeration** — the pre-engine component-joint strategy
-  (``aggregate_engine="enumerate"``): exponential in the touched
-  components, it raises :class:`~repro.errors.EnumerationLimitError` from
-  ``~2^20`` worlds under the default guard;
 * **convolution** — the decomposed aggregate engine
   (:mod:`repro.wsd.aggregate`): per-cluster local distributions combined by
   sparse convolution, pseudo-polynomial in the distinct partial sums.
 
-All engines must agree exactly wherever they can answer at all, the
-convolution engine must never fall back to joint enumeration
+Both engines must agree exactly wherever the explicit backend can answer,
+the convolution engine must never fall back to joint enumeration
 (``stats.aggregate_fallbacks == 0`` — asserted here and relied on by the CI
 bench-smoke job), and at the largest (2^24-world) point every query of the
 series must answer in single-digit milliseconds.  The series is also written
@@ -28,10 +24,7 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from repro import MayBMS
-from repro.errors import EnumerationLimitError
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
@@ -76,11 +69,8 @@ def _aggregate_relation(groups: int) -> Relation:
     return Relation(schema, rows, name="Dirty")
 
 
-def _wsd_session(relation: Relation, aggregates: str) -> MayBMS:
+def _wsd_session(relation: Relation) -> MayBMS:
     db = MayBMS({"Dirty": relation}, backend="wsd")
-    db.backend.aggregate_engine = aggregates
-    if PARAMS["joint_limit"] is not None and aggregates == "enumerate":
-        db.backend.enumeration_limit = PARAMS["joint_limit"]
     db.execute(REPAIR_STATEMENT)
     return db
 
@@ -105,14 +95,13 @@ def _canonical(result):
         key=repr)
 
 
-def test_scale3_aggregates_convolution_vs_enumeration_vs_explicit(benchmark):
+def test_scale3_aggregates_convolution_vs_explicit(benchmark):
     rows = []
-    infeasible_joint_points = 0
     for groups in PARAMS["groups"]:
         relation = _aggregate_relation(groups)
         world_count = PARAMS["options"] ** groups
 
-        convolution_db = _wsd_session(relation, "convolution")
+        convolution_db = _wsd_session(relation)
         answers = {}
         convolution_ms = {}
         for label, query in AGGREGATE_QUERIES:
@@ -129,21 +118,6 @@ def test_scale3_aggregates_convolution_vs_enumeration_vs_explicit(benchmark):
         assert stats.aggregate_fallbacks == 0
         assert stats.fallback == 0
 
-        enum_db = _wsd_session(relation, "enumerate")
-        joint_limit = enum_db.backend.enumeration_limit
-        if joint_limit is None or world_count <= joint_limit:
-            for label, query in AGGREGATE_QUERIES:
-                enum_result, enum_ms = _timed_best(
-                    lambda query=query: enum_db.execute(query), repeats=1)
-                assert _canonical(enum_result) == answers[label], \
-                    f"{label} diverged at {groups} groups"
-            joint_cell = round(enum_ms, 2)
-        else:
-            with pytest.raises(EnumerationLimitError):
-                enum_db.execute(AGGREGATE_QUERIES[0][1])
-            infeasible_joint_points += 1
-            joint_cell = "EnumerationLimitError"
-
         if world_count <= PARAMS["explicit_limit"]:
             explicit_db = MayBMS({"Dirty": relation})
             explicit_db.execute(REPAIR_STATEMENT)
@@ -157,23 +131,20 @@ def test_scale3_aggregates_convolution_vs_enumeration_vs_explicit(benchmark):
             explicit_cell = "infeasible"
 
         slowest = max(convolution_ms.values())
-        rows.append((f"G{groups}", world_count, explicit_cell, joint_cell,
+        rows.append((f"G{groups}", world_count, explicit_cell,
                      round(slowest, 2),
                      round(convolution_ms["possible sum"], 2),
                      round(convolution_ms["possible avg"], 2)))
-    assert infeasible_joint_points > 0, (
-        "the sweep must include a point the joint-enumeration path refuses")
     if not BENCH_SMOKE:
         # Acceptance bar: at the largest (2^24 worlds) point — infeasible
-        # for both baselines — every query of the SUM/COUNT/AVG/MIN/MAX
+        # for the explicit backend — every query of the SUM/COUNT/AVG/MIN/MAX
         # series answers exactly in single-digit milliseconds.
         assert rows[-1][1] == 2 ** 24
         assert rows[-1][2] == "infeasible"
-        assert rows[-1][3] == "EnumerationLimitError"
-        assert rows[-1][4] < 10.0, (
-            f"slowest aggregate took {rows[-1][4]}ms at the 2^24 point")
-    headers = ["point", "worlds", "explicit (last q)", "joint enumeration",
-               "convolution worst", "possible sum", "possible avg"]
+        assert rows[-1][3] < 10.0, (
+            f"slowest aggregate took {rows[-1][3]}ms at the 2^24 point")
+    headers = ["point", "worlds", "explicit (last q)", "convolution worst",
+               "possible sum", "possible avg"]
     print_table("BENCH_SCALE3: decomposed aggregate latency (ms)",
                 headers, rows)
     write_bench_json(
@@ -183,9 +154,9 @@ def test_scale3_aggregates_convolution_vs_enumeration_vs_explicit(benchmark):
             label: round(value, 4) for label, value in convolution_ms.items()})
 
     # One stable timing for the benchmark harness: the full series at the
-    # largest (joint-enumeration-infeasible) point.
+    # largest (explicit-infeasible) point.
     relation = _aggregate_relation(PARAMS["groups"][-1])
-    db = _wsd_session(relation, "convolution")
+    db = _wsd_session(relation)
 
     def run_series():
         return [db.execute(query) for _, query in AGGREGATE_QUERIES]
@@ -208,12 +179,12 @@ def test_scale3_group_by_aggregates_stay_on_the_representation(benchmark):
     explicit_db.execute(REPAIR_STATEMENT)
     expected = _canonical(explicit_db.execute(query))
 
-    small_db = _wsd_session(small, "convolution")
+    small_db = _wsd_session(small)
     assert _canonical(small_db.execute(query)) == expected
     assert small_db.backend.stats.component_joint == 0
 
     large = _aggregate_relation(PARAMS["groups"][-1])
-    large_db = _wsd_session(large, "convolution")
+    large_db = _wsd_session(large)
     result = benchmark(lambda: large_db.execute(query))
     # One row per (group, possible sum) pair; per-group confidences are
     # probabilities.

@@ -1,27 +1,22 @@
-"""BENCH_SCALE4 — world grouping and set operations: native vs. enumeration.
+"""BENCH_SCALE4 — world grouping and set operations: native vs. explicit.
 
 SCALE-1/2/3 made selection, confidence and aggregates scale with the
 representation; this series closes the last query classes that used to
 materialise worlds: **``group worlds by``** and **compound queries**
 (UNION / INTERSECT / EXCEPT).  A repair-key decomposition with up to
 ``2^24`` worlds is swept through a grouping / set-operation series answered
-by three engines:
+by two engines:
 
 * **explicit** — materialise every world (only at the smallest point);
-* **component-joint enumeration** — the guarded grouping baseline
-  (``grouping_engine="enumerate"``): jointly enumerates the components the
-  main and grouping queries touch, so it raises
-  :class:`~repro.errors.EnumerationLimitError` from ``~2^20`` worlds under
-  the default guard;
 * **native** — the world-grouping engine (:mod:`repro.wsd.grouping`:
   grouping expressions compiled to convolution contributions, group masses
   and conditioned per-group answers off the decomposed aggregator) and the
   set-operation combination (:mod:`repro.wsd.setops`: presence-condition
   algebra on the symbolic entries).
 
-All engines must agree exactly wherever they can answer at all, the native
-engines must never fall back (``stats.group_fallbacks == 0`` — asserted
-here and relied on by the CI bench-smoke job), and at the largest
+Both engines must agree exactly wherever the explicit backend can answer,
+the native engines must never fall back (``stats.group_fallbacks == 0`` —
+asserted here and relied on by the CI bench-smoke job), and at the largest
 (2^24-world) point every query of the series must answer in ≤10ms.  The
 series is also written as a machine-readable ``BENCH_SCALE4.json`` CI
 artifact.
@@ -35,7 +30,6 @@ import time
 import pytest
 
 from repro import MayBMS
-from repro.errors import EnumerationLimitError
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
@@ -90,11 +84,8 @@ def _grouping_relation(groups: int) -> Relation:
     return Relation(schema, rows, name="Dirty")
 
 
-def _wsd_session(relation: Relation, grouping: str) -> MayBMS:
+def _wsd_session(relation: Relation) -> MayBMS:
     db = MayBMS({"Dirty": relation}, backend="wsd")
-    db.backend.grouping_engine = grouping
-    if PARAMS["joint_limit"] is not None and grouping == "enumerate":
-        db.backend.enumeration_limit = PARAMS["joint_limit"]
     db.execute(REPAIR_STATEMENT)
     return db
 
@@ -137,15 +128,14 @@ def _canonical(result):
                   for fingerprint, mass in distribution.items())
 
 
-def test_scale4_grouping_native_vs_enumeration_vs_explicit(benchmark):
+def test_scale4_grouping_native_vs_explicit(benchmark):
     rows = []
-    infeasible_joint_points = 0
     native_ms = {}
     for groups in PARAMS["groups"]:
         relation = _grouping_relation(groups)
         world_count = PARAMS["options"] ** groups
 
-        native_db = _wsd_session(relation, "native")
+        native_db = _wsd_session(relation)
         answers = {}
         native_ms = {}
         for label, query in GROUPING_QUERIES:
@@ -162,26 +152,6 @@ def test_scale4_grouping_native_vs_enumeration_vs_explicit(benchmark):
         assert stats.group_fallbacks == 0
         assert stats.fallback == 0
 
-        enum_db = _wsd_session(relation, "enumerate")
-        joint_limit = enum_db.backend.enumeration_limit
-        if joint_limit is None or world_count <= joint_limit:
-            enum_worst = 0.0
-            for label, query in GROUPING_QUERIES:
-                enum_result, enum_ms = _timed_best(
-                    lambda query=query: enum_db.execute(query), repeats=1)
-                assert _canonical(enum_result) == answers[label], \
-                    f"{label} diverged at {groups} groups"
-                enum_worst = max(enum_worst, enum_ms)
-            joint_cell = round(enum_worst, 2)
-        else:
-            # Both query classes must refuse: grouping and compound.
-            with pytest.raises(EnumerationLimitError):
-                enum_db.execute(GROUPING_QUERIES[0][1])
-            with pytest.raises(EnumerationLimitError):
-                enum_db.execute(GROUPING_QUERIES[3][1])
-            infeasible_joint_points += 1
-            joint_cell = "EnumerationLimitError"
-
         if world_count <= PARAMS["explicit_limit"]:
             explicit_db = MayBMS({"Dirty": relation})
             explicit_db.execute(REPAIR_STATEMENT)
@@ -195,23 +165,19 @@ def test_scale4_grouping_native_vs_enumeration_vs_explicit(benchmark):
             explicit_cell = "infeasible"
 
         slowest = max(native_ms.values())
-        rows.append((f"G{groups}", world_count, explicit_cell, joint_cell,
+        rows.append((f"G{groups}", world_count, explicit_cell,
                      round(slowest, 2),
                      round(native_ms["group by local sum"], 2),
                      round(native_ms["except"], 2)))
-    assert infeasible_joint_points > 0, (
-        "the sweep must include a point the joint-enumeration path refuses")
     if not BENCH_SMOKE:
         # Acceptance bar: at the largest (2^24 worlds) point — infeasible
-        # for both baselines — every grouping / compound query of the
+        # for the explicit backend — every grouping / compound query of the
         # series answers exactly in ≤10ms.
         assert rows[-1][1] == 2 ** 24
         assert rows[-1][2] == "infeasible"
-        assert rows[-1][3] == "EnumerationLimitError"
-        assert rows[-1][4] < 10.0, (
-            f"slowest grouping query took {rows[-1][4]}ms at the 2^24 point")
-    headers = ["point", "worlds", "explicit (last q)",
-               "joint enumeration worst", "native worst",
+        assert rows[-1][3] < 10.0, (
+            f"slowest grouping query took {rows[-1][3]}ms at the 2^24 point")
+    headers = ["point", "worlds", "explicit (last q)", "native worst",
                "group by local sum", "except"]
     print_table("BENCH_SCALE4: world-grouping / set-operation latency (ms)",
                 headers, rows)
@@ -222,9 +188,9 @@ def test_scale4_grouping_native_vs_enumeration_vs_explicit(benchmark):
             label: round(value, 4) for label, value in native_ms.items()})
 
     # One stable timing for the benchmark harness: the full series at the
-    # largest (joint-enumeration-infeasible) point.
+    # largest (explicit-infeasible) point.
     relation = _grouping_relation(PARAMS["groups"][-1])
-    db = _wsd_session(relation, "native")
+    db = _wsd_session(relation)
 
     def run_series():
         return [db.execute(query) for _, query in GROUPING_QUERIES]
@@ -246,11 +212,11 @@ def test_scale4_group_masses_are_probabilities(benchmark):
     explicit_db.execute(REPAIR_STATEMENT)
     expected = _canonical(explicit_db.execute(query))
 
-    small_db = _wsd_session(small, "native")
+    small_db = _wsd_session(small)
     assert _canonical(small_db.execute(query)) == expected
 
     large = _grouping_relation(PARAMS["groups"][-1])
-    large_db = _wsd_session(large, "native")
+    large_db = _wsd_session(large)
     result = benchmark(lambda: large_db.execute(query))
     masses = [answer.probability for answer in result.world_answers]
     assert sum(masses) == pytest.approx(1.0)

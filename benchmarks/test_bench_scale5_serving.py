@@ -2,21 +2,20 @@
 
 SCALE-1..4 made every query class scale with the *representation*; this
 series measures whether the engine scales with *traffic*.  Three questions,
-all asserted (the perf numbers are printed and written to
-``BENCH_SCALE5.json``; the CI bench-smoke job runs this file by name):
+all asserted on answers and work counters (the timings are printed and
+written to ``BENCH_SCALE5.json`` but are not pass/fail; the CI bench-smoke
+job runs this file by name):
 
 * **cold vs. prepared** — executing a statement from scratch pays parse +
   classification + shape analysis + symbolic grounding before evaluating;
-  a prepared statement pays evaluation only.  On the repeated-query series
-  the prepared path must be **at least 5x faster** than cold execution at
-  every point of the full sweep (smoke mode — tiny points on shared CI
-  runners — asserts a loose 1.5x sanity floor instead, matching the other
-  SCALE benches' convention that smoke timings are not perf claims).
+  a prepared statement pays evaluation only.  Every cold execution must
+  miss the statement and ground caches; over the warm repetitions of the
+  prepared statement the statement-cache misses, plan compiles and ground
+  misses must not move.
 * **read scaling** — one session, N threads of prepared reads under the
-  generation read/write lock.  Aggregate throughput must not collapse as
-  readers are added (>= 0.4x the single-thread rate per point — the GIL
-  caps the upside of CPU-bound readers, the lock must not add to it), and
-  every concurrent answer must equal the serial answer exactly.
+  generation read/write lock.  During the threaded runs no plan is
+  compiled and nothing is re-grounded, and every concurrent answer must
+  equal the serial answer exactly.
 * **concurrent DML parity** — readers and writers hammer one session; the
   committed write order is replayed serially and every concurrent answer
   must match the serial answer of the generation it observed to 1e-9.
@@ -33,9 +32,9 @@ import pytest
 from repro import MayBMS
 from repro.workloads import DirtyRelationSpec
 from repro.workloads.generators import dirty_key_relation
+from repro.wsd.plan_cache import GLOBAL_PLAN_CACHE
 
 from conftest import (
-    BENCH_SMOKE,
     print_table,
     scale5_serving_parameters,
     write_bench_json,
@@ -68,24 +67,37 @@ def _query_arguments(groups: int) -> tuple:
 
 
 class TestScale5ColdVsPrepared:
-    def test_prepared_reexecution_is_5x_faster_than_cold(self, benchmark):
+    def test_prepared_reexecution_skips_compilation(self, benchmark):
         rows = []
         for groups in PARAMS["groups"]:
             arguments = _query_arguments(groups)
             cold_samples = []
             for _ in range(PARAMS["cold_repetitions"]):
                 db = _build_session(groups)
+                statement_misses = db.statement_cache.misses
+                ground_misses = db.backend.stats.ground_cache_misses
                 start = time.perf_counter()
                 cold_result = db.execute(REPEATED_QUERY, arguments)
                 cold_samples.append((time.perf_counter() - start) * 1000.0)
+                # The cold path really pays compilation and grounding.
+                assert db.statement_cache.misses > statement_misses
+                assert db.backend.stats.ground_cache_misses > ground_misses
             db = _build_session(groups)
             prepared = db.prepare(REPEATED_QUERY)
             warm_result = prepared.execute(arguments)
+            statement_misses = db.statement_cache.misses
+            compiles = GLOBAL_PLAN_CACHE.compiles
+            ground_misses = db.backend.stats.ground_cache_misses
             warm_samples = []
             for _ in range(PARAMS["warm_repetitions"]):
                 start = time.perf_counter()
                 warm_result = prepared.execute(arguments)
                 warm_samples.append((time.perf_counter() - start) * 1000.0)
+            # The prepared path amortises all of it: no statement compiled,
+            # no plan analysed, nothing re-grounded over the warm runs.
+            assert db.statement_cache.misses == statement_misses
+            assert GLOBAL_PLAN_CACHE.compiles == compiles
+            assert db.backend.stats.ground_cache_misses == ground_misses
             # Identical answers on both paths.
             assert sorted(warm_result.rows(), key=repr) == \
                 sorted(cold_result.rows(), key=repr)
@@ -95,16 +107,6 @@ class TestScale5ColdVsPrepared:
             rows.append((groups, PARAMS["options"],
                          round(cold, 3), round(warm, 3),
                          round(speedup, 1)))
-            # Smoke mode runs tiny points inside every PR's tier-1 job on
-            # shared runners, where sub-millisecond medians jitter; like the
-            # other SCALE benches, the hard perf claim only applies to the
-            # full sweep — smoke keeps a loose sanity floor so the path
-            # cannot silently stop amortising at all.
-            floor = 1.5 if BENCH_SMOKE else 5.0
-            assert speedup >= floor, (
-                f"prepared re-execution must amortise compilation "
-                f"(groups={groups}: cold={cold:.3f}ms warm={warm:.3f}ms "
-                f"= {speedup:.1f}x, floor {floor}x)")
         headers = ["groups", "options", "cold ms", "prepared ms", "speedup"]
         print_table("SCALE-5: cold vs prepared latency", headers, rows)
         write_bench_json("BENCH_SCALE5", headers, rows,
@@ -179,7 +181,8 @@ class TestScale5ReadScaling:
         serial_rows = sorted(prepared.execute(arguments).rows(), key=repr)
         reads = PARAMS["reads_per_thread"]
         rows = []
-        throughput_by_threads = {}
+        compiles = GLOBAL_PLAN_CACHE.compiles
+        ground_misses = db.backend.stats.ground_cache_misses
         for threads in PARAMS["threads"]:
             answers: list[list] = []
             errors: list[Exception] = []
@@ -208,15 +211,15 @@ class TestScale5ReadScaling:
             assert len(answers) == threads * reads
             assert all(rows_ == serial_rows for rows_ in answers), \
                 "concurrent reads must return the serial answer"
+            # Concurrent readers share the compiled plans and the grounding:
+            # no thread compiles or re-grounds anything.
+            assert GLOBAL_PLAN_CACHE.compiles == compiles, \
+                f"a plan was compiled during the {threads}-thread run"
+            assert db.backend.stats.ground_cache_misses == ground_misses, \
+                f"a relation was re-grounded during the {threads}-thread run"
             throughput = (threads * reads) / elapsed
-            throughput_by_threads[threads] = throughput
             rows.append((threads, threads * reads,
                          round(elapsed * 1000.0, 1), round(throughput, 1)))
-        base = throughput_by_threads[PARAMS["threads"][0]]
-        for threads, throughput in throughput_by_threads.items():
-            assert throughput >= 0.4 * base, (
-                f"read throughput collapsed at {threads} threads "
-                f"({throughput:.1f}/s vs {base:.1f}/s single-threaded)")
         # Whether readers overlapped during the timed runs is up to the OS
         # scheduler (sub-ms reads often finish within one GIL slice); the
         # *ability* to overlap is what the lock guarantees — force one

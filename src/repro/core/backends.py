@@ -20,7 +20,6 @@ the differential test suite (``tests/test_wsd_executor_parity.py``) does.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from ..errors import (
@@ -55,11 +54,7 @@ from ..worldset.worldset import WorldSet
 from ..wsd.approximate import AnytimeBudget
 from ..wsd.budgets import ResourceBudgets
 from ..wsd.construct import add_certain_relation
-from ..wsd.decomposition import (
-    DEFAULT_ENUMERATION_LIMIT,
-    Template,
-    WorldSetDecomposition,
-)
+from ..wsd.decomposition import Template, WorldSetDecomposition
 from ..wsd.plan_cache import SharedPlanCache
 from ..wsd.execute import (
     AggregateStats,
@@ -536,10 +531,6 @@ class WsdBackend(ExecutionBackend):
     name = "wsd"
 
     def __init__(self, catalog: Catalog | dict[str, Relation] | None = None,
-                 enumeration_limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-                 confidence_engine: str = "dtree",
-                 aggregate_engine: str = "convolution",
-                 grouping_engine: str = "native",
                  budgets: ResourceBudgets | dict | None = None,
                  degradation: str = "strict",
                  anytime: AnytimeBudget | None = None) -> None:
@@ -552,14 +543,8 @@ class WsdBackend(ExecutionBackend):
         self.decomposition = WorldSetDecomposition(template, [])
         self.views = {}
         self.primary_keys = {}
-        #: The per-engine guard bundle; an explicit ``budgets`` argument
-        #: wins, otherwise the legacy ``enumeration_limit`` argument seeds
-        #: the bundle's limit.
-        if budgets is None:
-            self.budgets = ResourceBudgets(
-                enumeration_limit=enumeration_limit)
-        else:
-            self.budgets = ResourceBudgets.coerce(budgets)
+        #: The per-engine guard bundle every executor reads.
+        self.budgets = ResourceBudgets.coerce(budgets)
         if degradation not in ("strict", "anytime"):
             raise AnalysisError(
                 f"unknown degradation mode {degradation!r} "
@@ -573,23 +558,6 @@ class WsdBackend(ExecutionBackend):
         #: The session-level anytime sampling budget (per-request options
         #: refine it via :meth:`QueryOptions.resolve_budget`).
         self.anytime = anytime if anytime is not None else AnytimeBudget()
-        #: How ``conf`` / ``certain`` disjunctions are evaluated: ``"dtree"``
-        #: (the exact d-tree engine, default), ``"enumerate"`` (the guarded
-        #: joint-enumeration baseline) or ``"cross-check"`` (d-tree verified
-        #: against enumeration wherever feasible).
-        self.confidence_engine = confidence_engine
-        #: How aggregate queries are evaluated: ``"convolution"`` (the
-        #: decomposed aggregate engine, default) or ``"enumerate"`` (the
-        #: guarded component-joint enumeration, kept as the benchmark
-        #: baseline).
-        self.aggregate_engine = aggregate_engine
-        #: How ``group worlds by`` and compound (UNION/INTERSECT/EXCEPT)
-        #: queries are evaluated: ``"native"`` (the world-grouping and
-        #: set-operation engines, default; unsupported shapes escape to the
-        #: guarded component-joint grouping, counted in
-        #: ``stats.group_fallbacks``) or ``"enumerate"`` (always the guarded
-        #: component-joint path, kept as the benchmark baseline).
-        self.grouping_engine = grouping_engine
         #: Accumulated per-strategy counters across all executed statements
         #: (symbolic / aggregate / grouping / setops / component_joint
         #: tiers, plus the fallback, aggregate_fallbacks and group_fallbacks
@@ -620,21 +588,6 @@ class WsdBackend(ExecutionBackend):
         #: order and their counters accumulate under this mutex (the answers
         #: themselves are protected by the session's read/write lock).
         self._stats_lock = threading.Lock()
-
-    @property
-    def enumeration_limit(self) -> int | None:
-        """Legacy alias for ``budgets.enumeration_limit``.
-
-        Kept writable so existing callers (and the benchmark baselines)
-        that assign ``backend.enumeration_limit`` keep steering the
-        enforced guard — the assignment writes through to the budget
-        bundle the executors actually read.
-        """
-        return self.budgets.enumeration_limit
-
-    @enumeration_limit.setter
-    def enumeration_limit(self, value: int | None) -> None:
-        self.budgets = replace(self.budgets, enumeration_limit=value)
 
     # -- programmatic catalog management ------------------------------------------------------
 
@@ -745,9 +698,6 @@ class WsdBackend(ExecutionBackend):
                   options: QueryOptions | None = None) -> WSDExecutor:
         options = QueryOptions.coerce(options)
         return WSDExecutor(self.decomposition, self.views,
-                           confidence=self.confidence_engine,
-                           aggregates=self.aggregate_engine,
-                           world_grouping=self.grouping_engine,
                            ground_cache=self._ground_cache,
                            ground_lock=self._ground_lock,
                            columnar=self.columnar,

@@ -39,9 +39,7 @@ Three evaluation strategies, ordered from cheapest to most expensive:
    (presence-condition disjunction / conjunction / and-not, bag and set
    semantics).  Shapes neither engine covers drop to a *guarded*
    component-joint grouping — still decomposition-local, still counted:
-   :attr:`WsdExecutionStats.group_fallbacks` tracks every such escape, and
-   the ``world_grouping="enumerate"`` mode keeps the guarded path as a
-   benchmark baseline.
+   :attr:`WsdExecutionStats.group_fallbacks` tracks every such escape.
 
 4. **Fallback** — only FROM clauses that multiply worlds data-dependently
    (repairing an uncertain relation) still decompose to the explicit
@@ -120,7 +118,6 @@ from .confidence import (
 )
 from .construct import from_choice_of, from_key_repair
 from .decomposition import (
-    DEFAULT_ENUMERATION_LIMIT,
     Template,
     TemplateTuple,
     WorldSetDecomposition,
@@ -428,10 +425,6 @@ class WSDExecutor:
 
     def __init__(self, decomposition: WorldSetDecomposition,
                  views: dict[str, Query] | None = None,
-                 enumeration_limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-                 confidence: str = "dtree",
-                 aggregates: str = "convolution",
-                 world_grouping: str = "native",
                  ground_cache: dict | None = None,
                  ground_lock: "threading.Lock | None" = None,
                  plan_cache: SharedPlanCache | None = None,
@@ -439,20 +432,6 @@ class WSDExecutor:
                  degradation: str = "strict",
                  anytime: AnytimeBudget | None = None,
                  columnar: bool = True) -> None:
-        if confidence not in ("dtree", "enumerate", "cross-check",
-                              "approximate"):
-            raise AnalysisError(
-                f"unknown confidence mode {confidence!r} "
-                "(expected 'dtree', 'enumerate', 'cross-check' "
-                "or 'approximate')")
-        if aggregates not in ("convolution", "enumerate"):
-            raise AnalysisError(
-                f"unknown aggregate mode {aggregates!r} "
-                "(expected 'convolution' or 'enumerate')")
-        if world_grouping not in ("native", "enumerate"):
-            raise AnalysisError(
-                f"unknown world-grouping mode {world_grouping!r} "
-                "(expected 'native' or 'enumerate')")
         if degradation not in ("strict", "anytime"):
             raise AnalysisError(
                 f"unknown degradation mode {degradation!r} "
@@ -462,13 +441,9 @@ class WSDExecutor:
         if views:
             for name, query in views.items():
                 self.views[name.lower()] = query
-        #: The per-engine guard values; when no bundle is passed the
-        #: explicit ``enumeration_limit`` argument is honoured for backward
-        #: compatibility, otherwise the bundle's limit wins.
-        if budgets is None:
-            budgets = ResourceBudgets(enumeration_limit=enumeration_limit)
-        self.budgets = budgets
-        self.limit = budgets.enumeration_limit
+        #: The per-engine guard values (defaults when no bundle is passed).
+        self.budgets = budgets if budgets is not None else ResourceBudgets()
+        self.limit = self.budgets.enumeration_limit
         #: ``"strict"`` raises :class:`~repro.errors.ResourceBudgetError`
         #: when every exact tier is over budget; ``"anytime"`` degrades to
         #: the Monte-Carlo sampling tier instead, recording the accuracy
@@ -480,23 +455,8 @@ class WSDExecutor:
         #: answer order; non-empty marks the statement's result approximate.
         self.approximations: list[ApproximateConfidence] = []
         self.stats = WsdExecutionStats()
-        #: How condition disjunctions are evaluated: ``"dtree"`` (default),
-        #: ``"enumerate"`` (the pre-d-tree guarded joint enumeration, kept as
-        #: a benchmark baseline) or ``"cross-check"`` (d-tree verified
-        #: against enumeration wherever enumeration is feasible).
-        self.confidence = confidence
         self.confidence_stats = ConfidenceStats()
-        #: How aggregates are evaluated: ``"convolution"`` (the decomposed
-        #: aggregate engine, default) or ``"enumerate"`` (the pre-engine
-        #: guarded component-joint enumeration, kept as a benchmark baseline).
-        self.aggregates = aggregates
         self.aggregate_stats = AggregateStats()
-        #: How ``group worlds by`` and compound queries are evaluated:
-        #: ``"native"`` (the grouping / set-operation engines, default,
-        #: escaping to guarded component-joint grouping only on counted
-        #: ``group_fallbacks``) or ``"enumerate"`` (always the guarded
-        #: component-joint path, kept as the benchmark baseline).
-        self.world_grouping = world_grouping
         self._engines: dict[int, tuple[WorldSetDecomposition, DTreeEngine]] = {}
         self._samplers: dict[int, tuple[WorldSetDecomposition,
                                         AnytimeSampler]] = {}
@@ -1158,19 +1118,15 @@ class WSDExecutor:
         2. the d-tree engine (:mod:`repro.wsd.confidence`) — exact and
            polynomial for hierarchical DNFs, which is what joins over
            key-repaired relations produce;
-        3. guarded joint enumeration of the touched components — only when
-           the d-tree exceeds its node budget (counted in
-           :attr:`ConfidenceStats.enumeration_fallbacks`), or when the
-           executor was built with ``confidence="enumerate"`` (the
-           benchmark baseline), or as a verification pass under
-           ``confidence="cross-check"``.
+        3. guarded joint enumeration of the touched components — the budget
+           fallback only: reached when the d-tree exceeds its node budget,
+           and counted in :attr:`ConfidenceStats.enumeration_fallbacks`.
 
-        A fourth, *approximate* tier sits behind these under graceful
-        degradation: ``confidence="approximate"`` answers every non-closed
-        shape by anytime Monte-Carlo sampling, and ``degradation="anytime"``
-        routes only the shapes whose exact tiers are all over budget to the
-        sampler instead of raising.  :meth:`_condition_estimate` exposes the
-        accompanying accuracy contract.
+        An *approximate* tier sits behind these under graceful degradation:
+        ``degradation="anytime"`` routes only the shapes whose exact tiers
+        are all over budget to anytime Monte-Carlo sampling instead of
+        raising.  :meth:`_condition_estimate` exposes the accompanying
+        accuracy contract.
         """
         return self._condition_estimate(working, conditions)[0]
 
@@ -1187,26 +1143,10 @@ class WSDExecutor:
             return 1.0, None
         if not conditions:
             return 0.0, None
-        if self.confidence == "enumerate":
-            try:
-                return self._enumerate_disjunction(working, conditions)[0], \
-                    None
-            except EnumerationLimitError:
-                if self.degradation != "anytime":
-                    raise
-                return self._sampled_confidence(working, conditions)
         closed = self._closed_form(working, conditions)
-        approximation: Optional[ApproximateConfidence] = None
         if closed is not None:
-            mass = closed[0]
-        elif self.confidence == "approximate":
-            mass, approximation = self._sampled_confidence(working,
-                                                           conditions)
-        else:
-            mass, approximation = self._dtree_estimate(working, conditions)
-        if self.confidence == "cross-check":
-            self._cross_check(working, conditions, mass)
-        return mass, approximation
+            return closed[0], None
+        return self._dtree_estimate(working, conditions)
 
     def _conditions_cover(self, working: WorldSetDecomposition,
                           conditions: Sequence[Condition]) -> bool:
@@ -1215,8 +1155,6 @@ class WSDExecutor:
             return True
         if not conditions:
             return False
-        if self.confidence == "enumerate":
-            return self._enumerate_disjunction(working, conditions)[1]
         closed = self._closed_form(working, conditions, count=False)
         if closed is not None:
             return closed[1]
@@ -1355,24 +1293,12 @@ class WSDExecutor:
                 return False
         return True
 
-    def _cross_check(self, working: WorldSetDecomposition,
-                     conditions: Sequence[Condition], mass: float) -> None:
-        """Verify a d-tree/closed-form answer against joint enumeration."""
-        try:
-            expected = self._enumerate_disjunction(working, conditions)[0]
-        except EnumerationLimitError:
-            return  # too large to verify — exactly the case the d-tree serves
-        if abs(expected - mass) > 1e-9:
-            raise WorldSetError(
-                "confidence cross-check failed: d-tree computed "
-                f"{mass!r}, joint enumeration computed {expected!r}")
-
     def _enumerate_disjunction(self, working: WorldSetDecomposition,
                                conditions: Sequence[Condition]
                                ) -> tuple[float, bool]:
         """``(probability, holds-in-every-world)`` by guarded enumeration of
-        the joint of all touched components — exponential; kept as the
-        baseline, budget fallback and cross-check oracle."""
+        the joint of all touched components — exponential; the d-tree's
+        budget fallback."""
         involved: list[int] = sorted({index for condition in conditions
                                       for index in condition.component_ids()})
         joint = 1
@@ -1429,8 +1355,6 @@ class WSDExecutor:
         silent re-routes; budget overruns on genuinely correlated shapes are
         counted in :attr:`WsdExecutionStats.aggregate_fallbacks`.
         """
-        if self.aggregates != "convolution":
-            return None
         plan = self.aggregate_plan(query)
         if plan is None:
             return None
@@ -1636,13 +1560,12 @@ class WSDExecutor:
         selects world-dependent rows, ORDER BY orders each world's answer —
         so they evaluate per joint alternative instead, returning ordered
         answers as a guarded per-world distribution (counted in
-        :attr:`WsdExecutionStats.group_fallbacks` under the native mode).
+        :attr:`WsdExecutionStats.group_fallbacks`).
         """
         self._require_plain_worldlocal(
             query, "a compound (UNION/INTERSECT/EXCEPT) query")
         if _compound_needs_per_world(query):
-            if self.world_grouping == "native":
-                self.stats.group_fallbacks += 1
+            self.stats.group_fallbacks += 1
             try:
                 return self._compound_distribution(query)
             except _FallbackNeeded:
@@ -1684,8 +1607,8 @@ class WSDExecutor:
                                             list[tuple[tuple, list[Condition]]]]:
         """``(working, schema, entries)`` of a compound query's answer.
 
-        Native set-operation combination first (mode ``"native"``); clause-
-        budget overruns and LIMIT-bearing compounds escape — counted in
+        Native set-operation combination first; clause-budget overruns and
+        LIMIT-bearing compounds escape — counted in
         :attr:`WsdExecutionStats.group_fallbacks` — to the guarded
         component-joint evaluation of the whole compound.  (Entries carry no
         row order, so the purely presentational ORDER BY does not force the
@@ -1693,21 +1616,19 @@ class WSDExecutor:
         """
         self._require_plain_worldlocal(
             query, "a compound (UNION/INTERSECT/EXCEPT) query")
-        if self.world_grouping == "native":
-            if not _compound_limits_content(query):
-                try:
-                    working, schema, entries = evaluate_compound_entries(
-                        self, working, query,
-                        budget=self.budgets.setop_clauses)
-                except SetOpBudgetExceededError:
-                    self.stats.group_fallbacks += 1
-                else:
-                    self.stats.setops += 1
-                    return working, schema, entries
-            else:
-                # Per-world LIMIT selects world-dependent rows; only
-                # per-joint evaluation reproduces it.
+        if not _compound_limits_content(query):
+            try:
+                working, schema, entries = evaluate_compound_entries(
+                    self, working, query, budget=self.budgets.setop_clauses)
+            except SetOpBudgetExceededError:
                 self.stats.group_fallbacks += 1
+            else:
+                self.stats.setops += 1
+                return working, schema, entries
+        else:
+            # Per-world LIMIT selects world-dependent rows; only per-joint
+            # evaluation reproduces it.
+            self.stats.group_fallbacks += 1
         schema, entries = self._compound_entries_enumerate(working, query)
         return working, schema, entries
 
@@ -1747,22 +1668,20 @@ class WSDExecutor:
         """
         self._require_plain_worldlocal(query.group_worlds_by.query,
                                        "a nested query")
-        if self.world_grouping == "native":
-            try:
-                groups = evaluate_group_worlds(self, working, query, items)
-            except (GroupingUnsupportedError, AggregateBudgetExceededError,
-                    UnknownColumnError):
-                # Shapes the native compilers do not cover (ORDER BY /
-                # LIMIT mains, non-aggregate subqueries, correlated
-                # references) escape to the guarded component-joint
-                # grouping below.
-                self.stats.group_fallbacks += 1
-            else:
-                self.stats.grouping += 1
-                return WSDQueryResult(
-                    kind="distribution",
-                    distribution=[(group.mass, group.relation)
-                                  for group in groups])
+        try:
+            groups = evaluate_group_worlds(self, working, query, items)
+        except (GroupingUnsupportedError, AggregateBudgetExceededError,
+                UnknownColumnError):
+            # Shapes the native compilers do not cover (ORDER BY / LIMIT
+            # mains, non-aggregate subqueries, correlated references) escape
+            # to the guarded component-joint grouping below.
+            self.stats.group_fallbacks += 1
+        else:
+            self.stats.grouping += 1
+            return WSDQueryResult(
+                kind="distribution",
+                distribution=[(group.mass, group.relation)
+                              for group in groups])
         distribution = self._group_worlds_enumerate(working, query, items)
         return WSDQueryResult(kind="distribution", distribution=distribution)
 
@@ -1787,7 +1706,8 @@ class WSDExecutor:
                                 query: SelectQuery,
                                 items: list[tuple[str, str]]
                                 ) -> list[tuple[float, Relation]]:
-        """Guarded component-joint grouping: the enumerate baseline."""
+        """Guarded component-joint grouping: the fallback for shapes the
+        native grouping engine does not cover."""
         from ..core.executor import collect_quantifier
 
         quantifier = query.quantifier or "possible"

@@ -4,13 +4,14 @@ Covers the three d-tree rules (independence partitioning, exclusive-clause
 summation, Shannon expansion with alternative blocks), memoisation, the node
 budget with its guarded-enumeration fallback, the executor tiers
 (closed form → d-tree → enumeration) with their stats counters, the
-``enumerate`` / ``cross-check`` modes, the factored ``assert not exists``
-conditioning, and the partially-weighted component semantics.
+factored ``assert not exists`` conditioning, and the partially-weighted
+component semantics.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.wsd import (
     Field,
     normalise_clauses,
 )
+from repro.wsd.execute import WSDExecutor
 
 
 def make_components(*specs):
@@ -191,13 +193,12 @@ CHAIN_CONF = ("select conf from I i1, L, I i2 "
               "where i1.K = L.A and i2.K = L.B and i1.P1 > i2.P1;")
 
 
-def chain_session(groups=GROUPS, confidence="dtree", seed=3):
+def chain_session(groups=GROUPS, seed=3):
     relation = dirty_key_relation(
         DirtyRelationSpec(groups=groups, options=2, seed=seed))
     link = Relation(LINK_SCHEMA, [(k, k + 1) for k in range(groups - 1)],
                     name="L")
     db = MayBMS({"Dirty": relation, "L": link}, backend="wsd")
-    db.backend.confidence_engine = confidence
     db.execute(REPAIR)
     return db
 
@@ -211,20 +212,25 @@ class TestExecutorTiers:
         assert stats.dtree >= 1
         assert stats.enumeration_fallbacks == 0
 
-    def test_enumerate_mode_reproduces_the_old_limit_error(self):
-        db = chain_session(groups=20, confidence="enumerate")
-        with pytest.raises(EnumerationLimitError):
-            db.execute(CHAIN_CONF)
-
     def test_dtree_agrees_with_enumeration_and_explicit(self):
         groups = 7
-        expected = None
-        for confidence in ("dtree", "enumerate", "cross-check"):
-            db = chain_session(groups=groups, confidence=confidence)
-            value = db.execute(CHAIN_CONF).rows()[0][0]
-            if expected is None:
-                expected = value
-            assert value == pytest.approx(expected, abs=1e-9)
+        db = chain_session(groups=groups)
+        answered = []
+        estimate = WSDExecutor._condition_estimate
+
+        def recording(executor, working, conditions):
+            answered.append((executor, working, list(conditions)))
+            return estimate(executor, working, conditions)
+
+        with mock.patch.object(WSDExecutor, "_condition_estimate", recording):
+            expected = db.execute(CHAIN_CONF).rows()[0][0]
+        assert db.backend.confidence_stats.dtree >= 1
+        assert db.backend.confidence_stats.enumeration_fallbacks == 0
+        # The guarded joint enumeration of the same disjunction, called
+        # directly, reproduces the d-tree's mass.
+        [(executor, working, conditions)] = answered
+        assert executor._enumerate_disjunction(working, conditions)[0] == \
+            pytest.approx(expected, abs=1e-9)
         relation = dirty_key_relation(
             DirtyRelationSpec(groups=groups, options=2, seed=3))
         link = Relation(LINK_SCHEMA, [(k, k + 1) for k in range(groups - 1)],
@@ -281,32 +287,14 @@ class TestExecutorTiers:
         engine = executor._engine(working)
         engine.node_budget = 1
         mass = executor._condition_probability(working, conditions)
-        reference = executor._enumerate_disjunction(working, conditions)[0]
-        assert mass == pytest.approx(reference)
+        expected_mass, expected_covers = brute_force(
+            working.components, [condition.atoms for condition in conditions])
+        assert mass == pytest.approx(expected_mass, abs=1e-9)
         assert executor.confidence_stats.enumeration_fallbacks == 1
-
-    def test_cross_check_mode_rejects_wrong_masses(self):
-        db = chain_session(groups=5, confidence="cross-check")
-        executor = db.backend._executor()
-        from repro.wsd.execute import Condition
-
-        working = db.decomposition
-        conditions = [
-            Condition(((0, frozenset({0})), (1, frozenset({1})))),
-            Condition(((1, frozenset({0})), (2, frozenset({1}))))]
-        # The genuine mass passes ...
-        mass = executor._condition_probability(working, conditions)
-        # ... and a corrupted one is caught.
-        with pytest.raises(WorldSetError):
-            executor._cross_check(working, conditions, mass + 0.1)
-
-    def test_unknown_confidence_mode_rejected(self):
-        from repro.wsd import WorldSetDecomposition, Template
-        from repro.wsd.execute import WSDExecutor
-
-        with pytest.raises(Exception):
-            WSDExecutor(WorldSetDecomposition(Template(), []),
-                        confidence="guess")
+        # The certain/coverage escape takes the same guarded fallback.
+        assert executor._conditions_cover(working, conditions) == \
+            expected_covers
+        assert executor.confidence_stats.enumeration_fallbacks == 2
 
 
 class TestFactoredAssert:

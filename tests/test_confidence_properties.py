@@ -186,8 +186,3 @@ class TestQueryParityOnCorrelatedConf:
                       for value in row)
                 for row in db.execute(query).rows())
         assert answers["wsd"] == answers["explicit"]
-        db = MayBMS({"Dirty": relation, "L": link}, backend="wsd")
-        db.backend.confidence_engine = "cross-check"
-        db.execute(repair)
-        db.execute(query)
-        assert db.backend.confidence_stats.enumeration_fallbacks == 0

@@ -37,6 +37,7 @@ reproducible locally with one decorator.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,9 @@ from repro.errors import ReproError
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
+from repro.wsd.execute import WSDExecutor
+
+from test_wsd_executor_parity import force_guarded_grouping
 
 
 #: Example budget override for the nightly extended sweep (0 = defaults).
@@ -364,22 +368,25 @@ class TestDifferentialFuzz:
 
     @given(program())
     @settings(max_examples=fuzz_examples(20), deadline=None, print_blob=True)
-    def test_enumerate_grouping_mode_agrees(self, workload):
-        """The guarded enumerate baseline must match the native engines on
-        the same random programs (native vs enumerate differential)."""
+    def test_guarded_grouping_fallback_agrees(self, workload):
+        """With the native grouping and set-operation engines refused (a
+        test seam), the guarded per-joint fallbacks must match the explicit
+        backend on the same random programs."""
         relation, statements = workload
-        native = MayBMS({"R": relation.copy()}, backend="wsd")
-        baseline = MayBMS({"R": relation.copy()}, backend="wsd")
-        baseline.backend.grouping_engine = "enumerate"
+        explicit = MayBMS({"R": relation.copy()}, backend="explicit")
+        wsd = MayBMS({"R": relation.copy()}, backend="wsd")
         for statement_sql in statements:
             try:
-                expected = baseline.execute(statement_sql)
+                expected = explicit.execute(statement_sql)
             except ReproError:
-                with pytest.raises(ReproError):
-                    native.execute(statement_sql)
+                with pytest.raises(ReproError), force_guarded_grouping():
+                    wsd.execute(statement_sql)
                 continue
-            actual = native.execute(statement_sql)
+            with force_guarded_grouping():
+                actual = wsd.execute(statement_sql)
             assert_statement_parity(statement_sql, expected, actual)
+        assert wsd.backend.stats.grouping == 0
+        assert wsd.backend.stats.setops == 0
 
     @given(program())
     @settings(max_examples=fuzz_examples(20), deadline=None, print_blob=True)
@@ -436,20 +443,32 @@ class TestDifferentialFuzz:
         """Approximate-vs-exact differential: forcing the anytime sampler
         on every non-closed-form confidence must track the exact engines
         within the advertised accuracy contract (and answer shapes that
-        stay closed-form must stay bit-exact)."""
+        stay closed-form must stay bit-exact).
+
+        The sampler is forced through a test seam — the d-tree tier is
+        swapped for the anytime tier around the approximate session's
+        statements only (``mock.patch`` rather than the function-scoped
+        ``monkeypatch`` fixture, which Hypothesis does not reset between
+        examples)."""
         relation, statements = workload
         exact = MayBMS({"R": relation.copy()}, backend="wsd")
         approx = MayBMS({"R": relation.copy()}, backend="wsd",
                         degradation="anytime")
-        approx.backend.confidence_engine = "approximate"
+
+        def run_sampled(statement_sql):
+            with mock.patch.object(
+                    WSDExecutor, "_dtree_estimate",
+                    lambda self, w, c: self._sampled_confidence(w, c)):
+                return approx.execute(statement_sql)
+
         for statement_sql in statements:
             try:
                 expected = exact.execute(statement_sql)
             except ReproError:
                 with pytest.raises(ReproError):
-                    approx.execute(statement_sql)
+                    run_sampled(statement_sql)
                 continue
-            actual = approx.execute(statement_sql)
+            actual = run_sampled(statement_sql)
             if not actual.approximate:
                 assert_statement_parity(statement_sql, expected, actual)
             else:

@@ -7,7 +7,7 @@ local distributions once and re-convolves, per row, only the clusters the
 row's presence conditions touch (leave-one-out prefix/suffix products for
 everything else).  These tests pin the convolution counters to the linear
 regime — if a refactor reintroduces the R-fold blowup, the counter
-assertions fail — and re-verify exactness against the enumerate baseline.
+assertions fail — and re-verify exactness against the explicit backend.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
 
+from test_differential_fuzz import assert_statement_parity
+
 GROUPING_QUERY = ("select possible B from I "
                   "group worlds by (select sum(B) from I);")
 
 
 def build_session(groups: int, options: int = 2,
-                  grouping_engine: str = "native") -> MayBMS:
+                  backend: str = "wsd") -> MayBMS:
     rows = []
     for key in range(groups):
         for option in range(options):
@@ -33,8 +35,7 @@ def build_session(groups: int, options: int = 2,
                      Column("B", SqlType.INTEGER),
                      Column("W", SqlType.INTEGER)])
     db = MayBMS({"Dirty": Relation(schema, rows, name="Dirty")},
-                backend="wsd")
-    db.backend.grouping_engine = grouping_engine
+                backend=backend)
     db.execute("create table I as "
                "select K, B from Dirty repair by key K weight W;")
     return db
@@ -82,22 +83,13 @@ class TestGroupingConvolutionCounts:
         "select count(*) from I where B > 21",
         "select max(B) from I where K < 3",
     ])
-    def test_cached_cluster_path_matches_enumerate_baseline(self, quantifier,
-                                                            subquery):
+    def test_cached_cluster_path_matches_explicit_backend(self, quantifier,
+                                                          subquery):
         sql = (f"select {quantifier} B from I where K < 4 "
                f"group worlds by ({subquery});")
-        native = build_session(5).execute(sql)
-        baseline = build_session(5, grouping_engine="enumerate").execute(sql)
-        native_groups = [(answer.probability,
-                          sorted(answer.relation.rows))
-                         for answer in native.world_answers]
-        baseline_groups = [(answer.probability,
-                            sorted(answer.relation.rows))
-                           for answer in baseline.world_answers]
-        assert len(native_groups) == len(baseline_groups)
-        native_groups.sort(key=repr)
-        baseline_groups.sort(key=repr)
-        for (native_mass, native_rows), (base_mass, base_rows) in zip(
-                native_groups, baseline_groups):
-            assert native_mass == pytest.approx(base_mass, abs=1e-9)
-            assert native_rows == base_rows
+        native = build_session(5)
+        actual = native.execute(sql)
+        assert native.backend.stats.grouping == 1
+        assert native.backend.stats.group_fallbacks == 0
+        expected = build_session(5, backend="explicit").execute(sql)
+        assert_statement_parity(sql, expected, actual)

@@ -10,6 +10,11 @@ While the WSD backend executes, explicit world enumeration
 (:meth:`WorldSetDecomposition.to_worldset` / ``iter_assignments``) is patched
 to raise, proving that the supported query classes are answered on the
 decomposition itself; the backend's fallback counter must stay at zero.
+
+The kept guarded fallbacks (enumeration on a d-tree budget overrun, the
+component-joint aggregate path, per-joint grouping and compounds) are forced
+over the same corpus — by zero budgets or by refusing the native engines —
+and must agree with the explicit backend too.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import pytest
 from repro import MayBMS
 from repro.datasets import figure1_database
 from repro.wsd import WorldSetDecomposition
+from repro.wsd.grouping import GroupingUnsupportedError
+from repro.wsd.setops import SetOpBudgetExceededError
 
 #: Statements building the paper's session state (Example 2.4, weighted).
 WEIGHTED_SETUP = [
@@ -172,6 +179,26 @@ QUERY_CORPUS = QUERY_CORPUS + AGGREGATE_CORPUS + GROUPING_CORPUS
 
 
 @contextlib.contextmanager
+def force_guarded_grouping():
+    """Refuse the native grouping and set-operation engines, so every
+    ``group worlds by`` and compound query takes its counted guarded
+    per-joint path (the test seam for the kept fallbacks)."""
+
+    def refuse_grouping(*args, **kwargs):
+        raise GroupingUnsupportedError("native grouping refused by the test")
+
+    def refuse_setops(*args, **kwargs):
+        raise SetOpBudgetExceededError(0, "native set operations refused "
+                                          "by the test")
+
+    with mock.patch("repro.wsd.execute.evaluate_group_worlds",
+                    refuse_grouping), \
+            mock.patch("repro.wsd.execute.evaluate_compound_entries",
+                       refuse_setops):
+        yield
+
+
+@contextlib.contextmanager
 def forbid_world_enumeration():
     """Patch explicit materialisation so any call fails the test."""
 
@@ -186,9 +213,9 @@ def forbid_world_enumeration():
         yield
 
 
-def build_sessions(setup):
+def build_sessions(setup, budgets=None):
     explicit = MayBMS(figure1_database(), backend="explicit")
-    wsd = MayBMS(figure1_database(), backend="wsd")
+    wsd = MayBMS(figure1_database(), backend="wsd", budgets=budgets)
     for statement in setup:
         explicit.execute(statement)
         wsd.execute(statement)
@@ -275,21 +302,6 @@ def test_backends_agree(setup, query):
 
 @pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
                          ids=["weighted", "unweighted"])
-def test_corpus_confidences_survive_cross_check(setup):
-    """Every corpus query re-runs under ``confidence_engine="cross-check"``:
-    the d-tree answer is verified in-engine against guarded joint enumeration
-    (a WorldSetError here means the engines diverged)."""
-    wsd = MayBMS(figure1_database(), backend="wsd")
-    wsd.backend.confidence_engine = "cross-check"
-    for statement in setup:
-        wsd.execute(statement)
-    for query in QUERY_CORPUS:
-        wsd.execute(query)
-    assert wsd.backend.confidence_stats.enumeration_fallbacks == 0
-
-
-@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
-                         ids=["weighted", "unweighted"])
 @pytest.mark.parametrize("query", AGGREGATE_CORPUS)
 def test_aggregate_queries_use_convolution_engine(setup, query):
     """The aggregate / HAVING / subquery corpus never enumerates component
@@ -304,24 +316,6 @@ def test_aggregate_queries_use_convolution_engine(setup, query):
     assert stats.aggregate_fallbacks == 0, \
         f"aggregate engine fell back on: {query}"
     assert wsd.backend.aggregate_stats.queries >= 1
-
-
-@pytest.mark.parametrize("query", AGGREGATE_CORPUS)
-def test_aggregate_corpus_agrees_with_enumerate_baseline(query):
-    """`aggregate_engine="enumerate"` re-enables the pre-engine joint path;
-    both modes must produce identical answers on the corpus."""
-    _, convolution = build_sessions(WEIGHTED_SETUP)
-    _, enumerate_mode = build_sessions(WEIGHTED_SETUP)
-    enumerate_mode.backend.aggregate_engine = "enumerate"
-    expected = enumerate_mode.execute(query)
-    actual = convolution.execute(query)
-    assert enumerate_mode.backend.stats.aggregate == 0
-    assert convolution.backend.stats.aggregate >= 1
-    if expected.is_rows():
-        assert canonical_rows(actual.rows()) == canonical_rows(expected.rows())
-    else:
-        assert_distributions_equal(wsd_distribution(actual),
-                                   wsd_distribution(expected), query)
 
 
 @pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
@@ -344,24 +338,67 @@ def test_grouping_corpus_is_native(setup, query):
         f"query fell back to world materialisation: {query}"
 
 
-@pytest.mark.parametrize("query", GROUPING_CORPUS)
-def test_grouping_corpus_agrees_with_enumerate_baseline(query):
-    """``grouping_engine="enumerate"`` re-enables the guarded component-joint
-    grouping path; both modes must produce identical answers on the corpus."""
-    _, native = build_sessions(WEIGHTED_SETUP)
-    _, enumerate_mode = build_sessions(WEIGHTED_SETUP)
-    enumerate_mode.backend.grouping_engine = "enumerate"
-    expected = enumerate_mode.execute(query)
-    actual = native.execute(query)
-    assert enumerate_mode.backend.stats.grouping == 0
-    assert enumerate_mode.backend.stats.setops == 0
-    assert enumerate_mode.backend.stats.group_fallbacks == 0
-    assert native.backend.stats.grouping + native.backend.stats.setops >= 1
+def assert_answers_agree(actual, expected, query):
     if expected.is_rows():
+        assert actual.is_rows(), f"result kind diverged for: {query}"
         assert canonical_rows(actual.rows()) == canonical_rows(expected.rows())
     else:
         assert_distributions_equal(wsd_distribution(actual),
-                                   wsd_distribution(expected), query)
+                                   explicit_distribution(expected), query)
+
+
+@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
+                         ids=["weighted", "unweighted"])
+def test_corpus_confidences_survive_dtree_budget_overrun(setup):
+    """With no d-tree node budget every d-tree call overruns, so the whole
+    corpus answers through the counted guarded enumeration fallback — and
+    still agrees with the explicit backend."""
+    explicit, wsd = build_sessions(setup, budgets={"dtree_nodes": 0})
+    for query in QUERY_CORPUS:
+        expected = explicit.execute(query)
+        with forbid_world_enumeration():
+            actual = wsd.execute(query)
+        assert_answers_agree(actual, expected, query)
+    assert wsd.backend.confidence_stats.enumeration_fallbacks >= 1
+    assert wsd.backend.stats.fallback == 0
+
+
+@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
+                         ids=["weighted", "unweighted"])
+@pytest.mark.parametrize("query", AGGREGATE_CORPUS)
+def test_aggregate_corpus_agrees_through_component_joint_fallback(setup, query):
+    """With no aggregate state budget the convolution engine overruns on
+    every corpus query; the counted component-joint fallback answers like
+    the explicit backend."""
+    explicit, wsd = build_sessions(setup, budgets={"aggregate_states": 0})
+    expected = explicit.execute(query)
+    with forbid_world_enumeration():
+        actual = wsd.execute(query)
+    stats = wsd.backend.stats
+    assert stats.aggregate == 0, f"convolution engine answered: {query}"
+    assert stats.aggregate_fallbacks >= 1, f"overrun not counted: {query}"
+    assert stats.component_joint >= 1, f"joint path not reached: {query}"
+    assert stats.fallback == 0
+    assert_answers_agree(actual, expected, query)
+
+
+@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
+                         ids=["weighted", "unweighted"])
+@pytest.mark.parametrize("query", GROUPING_CORPUS)
+def test_grouping_corpus_agrees_through_guarded_fallback(setup, query):
+    """With the native grouping and set-operation engines refused, the
+    counted guarded per-joint paths answer the corpus like the explicit
+    backend."""
+    explicit, wsd = build_sessions(setup)
+    expected = explicit.execute(query)
+    with force_guarded_grouping(), forbid_world_enumeration():
+        actual = wsd.execute(query)
+    stats = wsd.backend.stats
+    assert stats.grouping == 0
+    assert stats.setops == 0
+    assert stats.group_fallbacks >= 1, f"fallback not counted: {query}"
+    assert stats.fallback == 0
+    assert_answers_agree(actual, expected, query)
 
 
 class TestGroundingCache:
@@ -552,6 +589,19 @@ class TestWsdBackendBasics:
         assert wsd.backend.stats.fallback == 0
         assert_distributions_equal(wsd_distribution(actual),
                                    explicit_distribution(expected), query)
+        # CREATE TABLE AS over a LIMIT compound installs the entries of the
+        # guarded per-joint path (counted), and the installed table answers
+        # like the explicit backend's.
+        create = ("create table C as select B from I union "
+                  "select B from I where C = 'c1' limit 2;")
+        explicit.execute(create)
+        wsd.execute(create)
+        assert wsd.backend.stats.group_fallbacks == 2
+        assert wsd.backend.stats.setops == 0
+        assert wsd.backend.stats.fallback == 0
+        conf = "select conf, B from C;"
+        assert canonical_rows(wsd.execute(conf).rows()) == \
+            canonical_rows(explicit.execute(conf).rows())
 
     def test_unsupported_grouping_shapes_escape_guarded(self):
         """A main query outside the native compilers still answers — through
