@@ -6,8 +6,8 @@ corresponding figure or example reports, so running::
 
     pytest benchmarks/ --benchmark-only -s
 
-regenerates the paper's artefacts on stdout.  EXPERIMENTS.md records the
-printed values next to the paper's.
+regenerates the paper's artefacts on stdout.  The README section "Paper vs
+reproduction" records where they differ from the paper's.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep parameters to tiny grids,
 so CI can run the whole benchmark suite in seconds as a smoke test (the

@@ -4,8 +4,9 @@ The paper prints 0.53 for ``select conf from I where 50 > (select sum(Time)
 from I)``, referring to a column ``Time`` that does not occur in Figure 1.
 With the printed data and ``sum(B)`` the qualifying worlds are A (sum 44) and
 B (sum 49), whose exact probabilities are 2/18 and 6/18, so the reproduced
-value is 4/9 ~ 0.44.  EXPERIMENTS.md discusses the discrepancy; the machinery
-(the sum of the probabilities of the qualifying worlds) is the paper's.
+value is 4/9 ~ 0.44.  The README section "Paper vs reproduction" records
+the discrepancy; the machinery (the sum of the probabilities of the
+qualifying worlds) is the paper's.
 """
 
 from __future__ import annotations

@@ -114,23 +114,33 @@ class TestScale5ColdVsPrepared:
         benchmark(lambda: None)
 
     def test_statement_cache_makes_plain_execute_fast(self):
-        """Plain execute(sql) hits the LRU: it must track the prepared path,
-        not the cold path."""
+        """Plain execute(sql) hits the LRU: over ten repeats it misses no
+        statement, compiles no plan and grounds nothing, and answers exactly
+        as the prepared path does.  The timings are printed, not asserted."""
         groups = PARAMS["groups"][0]
         arguments = _query_arguments(groups)
         db = _build_session(groups)
         db.execute(REPEATED_QUERY, arguments)  # compile + warm
+        hits = db.statement_cache.hits
+        misses = db.statement_cache.misses
+        compiles = GLOBAL_PLAN_CACHE.compiles
+        ground_misses = db.backend.stats.ground_cache_misses
         start = time.perf_counter()
         for _ in range(10):
-            db.execute(REPEATED_QUERY, arguments)
-        via_cache = (time.perf_counter() - start) / 10
+            via_cache = db.execute(REPEATED_QUERY, arguments)
+        via_cache_ms = (time.perf_counter() - start) / 10 * 1000.0
+        assert db.statement_cache.hits == hits + 10
+        assert db.statement_cache.misses == misses
+        assert GLOBAL_PLAN_CACHE.compiles == compiles
+        assert db.backend.stats.ground_cache_misses == ground_misses
         prepared = db.prepare(REPEATED_QUERY)
         start = time.perf_counter()
         for _ in range(10):
-            prepared.execute(arguments)
-        direct = (time.perf_counter() - start) / 10
-        assert via_cache <= direct * 3 + 1e-3
-        assert db.statement_cache.hits >= 10
+            direct = prepared.execute(arguments)
+        direct_ms = (time.perf_counter() - start) / 10 * 1000.0
+        assert via_cache.rows() == direct.rows()
+        print(f"\nSCALE-5: plain execute {via_cache_ms:.3f} ms, "
+              f"prepared {direct_ms:.3f} ms (mean of 10)")
 
 
 class TestScale5SharedPlans:

@@ -7,14 +7,11 @@ from .pipeline import (
     repair_key_step,
     swap_candidates_sql,
 )
-from .swaps import build_swap_relation, swap_candidate_rows
 
 __all__ = [
     "CleaningPipeline",
     "CleaningReport",
-    "build_swap_relation",
     "enforce_functional_dependency",
     "repair_key_step",
-    "swap_candidate_rows",
     "swap_candidates_sql",
 ]

@@ -76,13 +76,6 @@ class WorldQueryResult:
     collected: Optional[Relation] = None
     groups: Optional[list[tuple[Any, list[Optional[str]], Relation]]] = None
 
-    def answer_for(self, label: str) -> Relation:
-        """The answer relation of the world labelled *label*."""
-        for world, answer in zip(self.world_set.worlds, self.answers):
-            if world.label == label:
-                return answer
-        raise AnalysisError(f"no world labelled {label!r} in this result")
-
 
 class Executor:
     """Evaluates parsed queries with possible-worlds semantics."""

@@ -1,24 +1,14 @@
 """The relational substrate: schemas, relations, expressions and operators.
 
 This package is a small but complete in-memory relational engine with bag
-semantics, SQL NULL handling, aggregates, and CSV / SQLite bridges.  The
+semantics, SQL NULL handling, aggregates, and an SQLite bridge.  The
 I-SQL engine (:mod:`repro.core`) evaluates the per-world part of every query
 through this substrate.
 """
 
-from .aggregates import aggregate_values, create_aggregator, AGGREGATE_NAMES
+from .aggregates import create_aggregator, AGGREGATE_NAMES
 from .catalog import Catalog
-from .constraints import (
-    FunctionalDependency,
-    KeyConstraint,
-    check_functional_dependency,
-    check_key,
-    count_key_repairs,
-    fd_violations,
-    key_repair_groups,
-    key_violations,
-)
-from .csv_io import read_csv, relation_from_csv_text, relation_to_csv_text, write_csv
+from .constraints import check_key, key_repair_groups, key_violations
 from .expressions import (
     AggregateCall,
     Between,
@@ -43,12 +33,7 @@ from .expressions import (
 )
 from .relation import Relation
 from .schema import Column, Schema
-from .sqlite_io import (
-    catalog_from_sqlite,
-    catalog_to_sqlite,
-    relation_from_sqlite,
-    relation_to_sqlite,
-)
+from .sqlite_io import relation_from_sqlite, relation_to_sqlite
 from .types import SqlType, format_value, is_null, sql_compare, sql_equal
 
 __all__ = [
@@ -64,11 +49,9 @@ __all__ = [
     "ExistsSubquery",
     "Expression",
     "FunctionCall",
-    "FunctionalDependency",
     "InList",
     "InSubquery",
     "IsNull",
-    "KeyConstraint",
     "Like",
     "Literal",
     "QuantifiedComparison",
@@ -78,26 +61,16 @@ __all__ = [
     "SqlType",
     "Star",
     "UnaryOp",
-    "aggregate_values",
-    "catalog_from_sqlite",
-    "catalog_to_sqlite",
-    "check_functional_dependency",
     "check_key",
     "contains_aggregate",
-    "count_key_repairs",
     "create_aggregator",
     "expression_columns",
-    "fd_violations",
     "format_value",
     "is_null",
     "key_repair_groups",
     "key_violations",
-    "read_csv",
-    "relation_from_csv_text",
     "relation_from_sqlite",
-    "relation_to_csv_text",
     "relation_to_sqlite",
     "sql_compare",
     "sql_equal",
-    "write_csv",
 ]

@@ -9,7 +9,7 @@ input return NULL, except ``count`` which returns 0.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..errors import AggregateError
 
@@ -21,7 +21,6 @@ __all__ = [
     "MinAggregator",
     "MaxAggregator",
     "create_aggregator",
-    "aggregate_values",
     "AGGREGATE_NAMES",
 ]
 
@@ -175,17 +174,3 @@ def create_aggregator(name: str, distinct: bool = False,
     if factory is None:
         raise AggregateError(f"unknown aggregate function {name!r}")
     return factory(distinct, count_star)
-
-
-def aggregate_values(name: str, values: Iterable[Any],
-                     distinct: bool = False) -> Any:
-    """Convenience helper: aggregate an iterable of values in one call.
-
-    Follows the ``aggregate(expression)`` semantics — NULL inputs are skipped,
-    including for ``count``.  Use :func:`create_aggregator` with
-    ``count_star=True`` for the ``count(*)`` behaviour.
-    """
-    aggregator = create_aggregator(name, distinct=distinct)
-    for value in values:
-        aggregator.accumulate(value)
-    return aggregator.finalize()

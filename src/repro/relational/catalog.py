@@ -99,12 +99,6 @@ class Catalog:
             raise UnknownRelationError(name)
         del self._tables[key]
 
-    def rename(self, old: str, new: str) -> None:
-        """Rename a relation."""
-        relation = self.get(old)
-        self.drop(old)
-        self.create(new, relation)
-
     # -- copying --------------------------------------------------------------------
 
     def copy(self) -> "Catalog":
@@ -113,10 +107,6 @@ class Catalog:
         for key, relation in self._tables.items():
             clone._tables[key] = relation.copy()
         return clone
-
-    def to_dict(self) -> dict[str, Relation]:
-        """Return a plain dict snapshot keyed by lower-case names."""
-        return dict(self._tables)
 
     def summary(self) -> dict[str, Any]:
         """Return ``{name: (column names, row count)}`` for quick inspection."""

@@ -1,60 +1,26 @@
-"""Integrity constraints: keys and functional dependencies.
+"""Key constraints: violation checking and key-repair choices.
 
 The I-SQL operations of the paper revolve around constraint violations:
 ``repair by key`` enumerates the maximal consistent subsets of a relation with
 respect to a key, and ``assert`` is routinely used to enforce functional
-dependencies across worlds (Section 3.2 of the paper).  This module provides
-the constraint objects, violation checking, and the enumeration of key-repair
-choices shared by the explicit world-set backend and the WSD backend.
+dependencies across worlds (Section 3.2 of the paper; see
+:func:`repro.cleaning.enforce_functional_dependency`).  This module checks
+declared keys and enumerates the key-repair choices shared by the explicit
+world-set backend and the WSD backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..errors import ConstraintViolationError, SchemaError
+from ..errors import ConstraintViolationError
 from .relation import Relation
 
 __all__ = [
-    "KeyConstraint",
-    "FunctionalDependency",
     "check_key",
-    "check_functional_dependency",
     "key_violations",
-    "fd_violations",
     "key_repair_groups",
-    "count_key_repairs",
 ]
-
-
-@dataclass(frozen=True)
-class KeyConstraint:
-    """A (candidate) key: the listed attributes must be unique in the relation."""
-
-    attributes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.attributes:
-            raise SchemaError("a key constraint needs at least one attribute")
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return "KEY(" + ", ".join(self.attributes) + ")"
-
-
-@dataclass(frozen=True)
-class FunctionalDependency:
-    """A functional dependency ``determinant -> dependent``."""
-
-    determinant: tuple[str, ...]
-    dependent: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.determinant or not self.dependent:
-            raise SchemaError("a functional dependency needs attributes on both sides")
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return (", ".join(self.determinant) + " -> " + ", ".join(self.dependent))
 
 
 def key_violations(relation: Relation,
@@ -82,36 +48,6 @@ def check_key(relation: Relation, key: Sequence[str],
     return not violations
 
 
-def fd_violations(relation: Relation,
-                  fd: FunctionalDependency) -> list[tuple[tuple, tuple]]:
-    """Return pairs of rows of *relation* that jointly violate *fd*."""
-    det = [relation.schema.index_of(name) for name in fd.determinant]
-    dep = [relation.schema.index_of(name) for name in fd.dependent]
-    seen: dict[tuple, tuple[tuple, tuple]] = {}
-    violations: list[tuple[tuple, tuple]] = []
-    for row in relation.rows:
-        det_value = tuple(row[i] for i in det)
-        dep_value = tuple(row[i] for i in dep)
-        if det_value in seen:
-            first_dep, first_row = seen[det_value]
-            if first_dep != dep_value:
-                violations.append((first_row, row))
-        else:
-            seen[det_value] = (dep_value, row)
-    return violations
-
-
-def check_functional_dependency(relation: Relation, fd: FunctionalDependency,
-                                raise_on_violation: bool = False) -> bool:
-    """Return True when *fd* holds in *relation*."""
-    violations = fd_violations(relation, fd)
-    if violations and raise_on_violation:
-        first, second = violations[0]
-        raise ConstraintViolationError(
-            f"functional dependency {fd} violated by rows {first!r} and {second!r}")
-    return not violations
-
-
 def key_repair_groups(relation: Relation,
                       key: Sequence[str]) -> list[tuple[tuple, list[tuple]]]:
     """Group the rows of *relation* by their key value, preserving order.
@@ -131,27 +67,3 @@ def key_repair_groups(relation: Relation,
             groups[value] = []
         groups[value].append(row)
     return [(value, groups[value]) for value in order]
-
-
-def count_key_repairs(relation: Relation, key: Sequence[str]) -> int:
-    """Return the number of maximal repairs of *relation* w.r.t. *key*.
-
-    This is the product of the group sizes and can be astronomically large —
-    which is exactly the point of the world-set decomposition representation.
-    """
-    product = 1
-    for _, rows in key_repair_groups(relation, key):
-        product *= len(rows)
-    return product
-
-
-def iter_attribute_values(relation: Relation,
-                          attributes: Sequence[str]) -> Iterable[tuple]:
-    """Yield the distinct values of *attributes* in first-appearance order."""
-    indexes = [relation.schema.index_of(name) for name in attributes]
-    seen: set[tuple] = set()
-    for row in relation.rows:
-        value = tuple(row[i] for i in indexes)
-        if value not in seen:
-            seen.add(value)
-            yield value

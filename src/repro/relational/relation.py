@@ -7,8 +7,8 @@ layer and for building test fixtures; they mutate in place and are documented
 as doing so.)
 
 Bag semantics is the default, matching SQL; :meth:`Relation.distinct` removes
-duplicates.  Equality of relations can be checked under bag or set semantics,
-which the world-set layer uses when comparing possible worlds.
+duplicates.  Equality of relations is checked under bag semantics, which the
+world-set layer uses when comparing possible worlds.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ class Relation:
             self.rows.append(self._prepare_row(row, coerce=coerce))
 
     # -- construction helpers -----------------------------------------------------
-
-    @classmethod
-    def from_dicts(cls, schema: Schema | Sequence[Column | str],
-                   records: Iterable[dict[str, Any]],
-                   name: str | None = None) -> "Relation":
-        """Build a relation from dictionaries keyed by column name."""
-        if not isinstance(schema, Schema):
-            schema = Schema(schema)
-        rows = []
-        for record in records:
-            rows.append(tuple(record.get(column.name) for column in schema))
-        return cls(schema, rows, name=name)
 
     def _prepare_row(self, row: Sequence[Any], coerce: bool = True) -> tuple:
         values = tuple(row)
@@ -95,12 +83,6 @@ class Relation:
         if len(self.schema) != len(other.schema):
             return False
         return Counter(self.rows) == Counter(other.rows)
-
-    def set_equal(self, other: "Relation") -> bool:
-        """True when both relations contain the same set of tuples."""
-        if len(self.schema) != len(other.schema):
-            return False
-        return set(self.rows) == set(other.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
@@ -165,30 +147,11 @@ class Relation:
         clone.rows = list(self.rows)
         return clone
 
-    def select(self, predicate: Callable[[tuple], bool]) -> "Relation":
-        """Return the rows for which *predicate* returns a truthy value."""
-        result = Relation(self.schema, [], name=None, coerce=False)
-        result.rows = [row for row in self.rows if predicate(row)]
-        return result
-
-    def project(self, indexes: Sequence[int]) -> "Relation":
-        """Project onto the columns at *indexes* (bag semantics: keeps duplicates)."""
-        schema = self.schema.project(indexes)
-        result = Relation(schema, [], coerce=False)
-        result.rows = [tuple(row[i] for i in indexes) for row in self.rows]
-        return result
-
     def project_columns(self, names: Sequence[str]) -> "Relation":
         """Project onto the columns named *names* (in the given order)."""
         indexes = [self.schema.index_of(name) for name in names]
-        return self.project(indexes)
-
-    def extend(self, column: Column,
-               compute: Callable[[tuple], Any]) -> "Relation":
-        """Return a relation with an extra column computed from each row."""
-        schema = Schema(list(self.schema.columns) + [column])
-        result = Relation(schema, [], coerce=False)
-        result.rows = [row + (compute(row),) for row in self.rows]
+        result = Relation(self.schema.project(indexes), [], coerce=False)
+        result.rows = [tuple(row[i] for i in indexes) for row in self.rows]
         return result
 
     def distinct(self) -> "Relation":
@@ -206,35 +169,6 @@ class Relation:
         schema = self.schema.concat(other.schema)
         result = Relation(schema, [], coerce=False)
         result.rows = [left + right for left in self.rows for right in other.rows]
-        return result
-
-    def join(self, other: "Relation",
-             predicate: Callable[[tuple], bool]) -> "Relation":
-        """Theta join: cartesian product filtered by *predicate* on joined rows."""
-        return self.cross_join(other).select(predicate)
-
-    def equi_join(self, other: "Relation",
-                  left_columns: Sequence[str],
-                  right_columns: Sequence[str]) -> "Relation":
-        """Hash-based equi-join on the given column lists."""
-        if len(left_columns) != len(right_columns):
-            raise SchemaError("equi-join requires equally many columns per side")
-        left_indexes = [self.schema.index_of(name) for name in left_columns]
-        right_indexes = [other.schema.index_of(name) for name in right_columns]
-        index: dict[tuple, list[tuple]] = {}
-        for row in other.rows:
-            key = tuple(row[i] for i in right_indexes)
-            if any(value is None for value in key):
-                continue  # NULL never joins.
-            index.setdefault(key, []).append(row)
-        schema = self.schema.concat(other.schema)
-        result = Relation(schema, [], coerce=False)
-        for row in self.rows:
-            key = tuple(row[i] for i in left_indexes)
-            if any(value is None for value in key):
-                continue
-            for match in index.get(key, ()):
-                result.rows.append(row + match)
         return result
 
     def union(self, other: "Relation", distinct: bool = True) -> "Relation":
@@ -283,20 +217,6 @@ class Relation:
                     result.rows.append(row)
         return result
 
-    def order_by(self, keys: Sequence[tuple[int, bool]]) -> "Relation":
-        """Sort by a list of ``(column index, descending)`` pairs.
-
-        NULLs sort first in ascending order (last in descending), and mixed
-        value types get a deterministic order via :func:`ordering_key`.
-        """
-        result = Relation(self.schema, [], coerce=False)
-        rows = list(self.rows)
-        for index, descending in reversed(list(keys)):
-            rows.sort(key=lambda row: ordering_key(row[index]),
-                      reverse=descending)
-        result.rows = rows
-        return result
-
     def limit(self, count: int | None, offset: int = 0) -> "Relation":
         """Return at most *count* rows starting at *offset*."""
         result = Relation(self.schema, [], coerce=False)
@@ -304,33 +224,7 @@ class Relation:
         result.rows = self.rows[offset:end]
         return result
 
-    def group_by(self, key_indexes: Sequence[int]) -> dict[tuple, list[tuple]]:
-        """Group rows by the values at *key_indexes*; preserves encounter order."""
-        groups: dict[tuple, list[tuple]] = {}
-        for row in self.rows:
-            key = tuple(row[i] for i in key_indexes)
-            groups.setdefault(key, []).append(row)
-        return groups
-
-    def column_values(self, name: str, qualifier: str | None = None) -> list[Any]:
-        """Return the list of values in the named column, in row order."""
-        index = self.schema.index_of(name, qualifier)
-        return [row[index] for row in self.rows]
-
-    def contains(self, row: Sequence[Any]) -> bool:
-        """Membership test for a tuple (no coercion applied)."""
-        return tuple(row) in set(self.rows)
-
-    def rename_columns(self, names: Sequence[str]) -> "Relation":
-        """Return a copy whose columns are renamed to *names*."""
-        return self.with_schema(self.schema.rename(names))
-
     # -- display --------------------------------------------------------------------
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Return the rows as dictionaries keyed by unqualified column name."""
-        names = self.schema.names()
-        return [dict(zip(names, row)) for row in self.rows]
 
     def pretty(self, max_rows: int | None = None) -> str:
         """Return an ASCII-art table rendering of the relation."""
@@ -354,9 +248,3 @@ class Relation:
         if max_rows is not None and len(self.rows) > max_rows:
             lines.append(f"... ({len(self.rows) - max_rows} more rows)")
         return "\n".join(lines)
-
-    @staticmethod
-    def empty(schema: Schema | Sequence[Column | str],
-              name: str | None = None) -> "Relation":
-        """Return an empty relation with the given schema."""
-        return Relation(schema, [], name=name)

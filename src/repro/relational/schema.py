@@ -174,14 +174,6 @@ class Schema:
         """Return a schema where no column carries a qualifier."""
         return self.with_qualifier(None)
 
-    def rename(self, names: Sequence[str]) -> "Schema":
-        """Return a schema with the same types but new unqualified names."""
-        if len(names) != len(self._columns):
-            raise SchemaError(
-                f"rename expects {len(self._columns)} names, got {len(names)}")
-        return Schema([Column(name, column.type)
-                       for name, column in zip(names, self._columns)])
-
     def project(self, indexes: Sequence[int]) -> "Schema":
         """Return the schema consisting of the columns at *indexes*, in order."""
         try:

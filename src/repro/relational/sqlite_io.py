@@ -22,11 +22,8 @@ integers outside the signed 64-bit range do not fit an SQLite ``INTEGER``.
 from __future__ import annotations
 
 import sqlite3
-from pathlib import Path
-from typing import Iterable
 
 from ..errors import SchemaError, UnknownRelationError
-from .catalog import Catalog
 from .relation import Relation
 from .schema import Column, Schema
 from .types import SqlType
@@ -34,11 +31,8 @@ from .types import SqlType
 __all__ = [
     "sqlite_type_name",
     "quote_identifier",
-    "list_tables",
     "relation_to_sqlite",
     "relation_from_sqlite",
-    "catalog_to_sqlite",
-    "catalog_from_sqlite",
 ]
 
 _TYPE_TO_SQLITE = {
@@ -78,18 +72,6 @@ def sqlite_type_name(sql_type: SqlType) -> str:
 def quote_identifier(name: str) -> str:
     """Quote *name* for use as an SQLite identifier (doubling ``\"``)."""
     return '"' + name.replace('"', '""') + '"'
-
-
-#: Backwards-compatible private alias (pre-existing callers).
-_quote_identifier = quote_identifier
-
-
-def list_tables(connection: sqlite3.Connection) -> list[str]:
-    """The user tables of *connection*, in name order."""
-    cursor = connection.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'table' "
-        "AND name NOT LIKE 'sqlite_%' ORDER BY name")
-    return [row[0] for row in cursor.fetchall()]
 
 
 def relation_to_sqlite(relation: Relation, connection: sqlite3.Connection,
@@ -172,29 +154,3 @@ def relation_from_sqlite(connection: sqlite3.Connection, table_name: str,
         rows = connection.execute(query).fetchall()
     rows = [_decode_row(row, booleans) for row in rows]
     return Relation(schema, rows, name=name or table_name)
-
-
-def catalog_to_sqlite(catalog: Catalog, path: str | Path) -> list[str]:
-    """Persist every relation of *catalog* into the SQLite database at *path*."""
-    written = []
-    with sqlite3.connect(str(path)) as connection:
-        for name in catalog.names():
-            relation = catalog.get(name)
-            written.append(relation_to_sqlite(relation, connection, table_name=name))
-    return written
-
-
-def catalog_from_sqlite(path: str | Path,
-                        tables: Iterable[str] | None = None) -> Catalog:
-    """Load a catalog from the SQLite database at *path*.
-
-    When *tables* is None every user table in the database is loaded.
-    """
-    catalog = Catalog()
-    with sqlite3.connect(str(path)) as connection:
-        if tables is None:
-            tables = list_tables(connection)
-        for table_name in tables:
-            catalog.create(table_name,
-                           relation_from_sqlite(connection, table_name))
-    return catalog

@@ -6,26 +6,16 @@ from .operations import (
     repair_by_key,
     repair_relation_worlds,
 )
-from .probability import (
-    TOLERANCE,
-    normalize,
-    probabilities_close,
-    validate_probabilities,
-    weights_to_probabilities,
-)
+from .probability import normalize
 from .world import World
 from .worldset import WorldSet
 
 __all__ = [
-    "TOLERANCE",
     "World",
     "WorldSet",
     "choice_of",
     "choice_relation_worlds",
     "normalize",
-    "probabilities_close",
     "repair_by_key",
     "repair_relation_worlds",
-    "validate_probabilities",
-    "weights_to_probabilities",
 ]

@@ -2,56 +2,17 @@
 
 World-sets are either *non-probabilistic* (every world has probability
 ``None``) or *probabilistic* (every world carries a probability and the
-probabilities sum to one).  This module centralises validation, normalisation
-and the weight arithmetic used by ``repair by key ... weight`` and
-``choice of ... weight`` (Examples 2.4 and 2.7 of the paper).
+probabilities sum to one).  This module holds the normalisation ``assert``
+applies to the surviving worlds (Example 2.5 of the paper).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import ProbabilityError
 
-__all__ = [
-    "TOLERANCE",
-    "validate_probabilities",
-    "normalize",
-    "weights_to_probabilities",
-    "probabilities_close",
-]
-
-#: Absolute tolerance used when checking that probabilities sum to one.
-TOLERANCE = 1e-9
-
-
-def validate_probabilities(probabilities: Sequence[float | None],
-                           require_normalized: bool = True) -> bool:
-    """Check that *probabilities* is consistent.
-
-    Either every entry is ``None`` (non-probabilistic world-set) or every
-    entry is a non-negative number; in the latter case the entries must sum to
-    one when *require_normalized* is true.  Returns True when the world-set is
-    probabilistic.
-    """
-    entries = list(probabilities)
-    if not entries:
-        return False
-    none_count = sum(1 for value in entries if value is None)
-    if none_count == len(entries):
-        return False
-    if none_count:
-        raise ProbabilityError(
-            "world-set mixes probabilistic and non-probabilistic worlds")
-    total = 0.0
-    for value in entries:
-        if value < 0:
-            raise ProbabilityError(f"negative world probability {value!r}")
-        total += value
-    if require_normalized and abs(total - 1.0) > 1e-6:
-        raise ProbabilityError(
-            f"world probabilities sum to {total!r}, expected 1")
-    return True
+__all__ = ["normalize"]
 
 
 def normalize(probabilities: Sequence[float]) -> list[float]:
@@ -65,29 +26,3 @@ def normalize(probabilities: Sequence[float]) -> list[float]:
         raise ProbabilityError(
             "cannot normalise: total probability mass is zero")
     return [value / total for value in probabilities]
-
-
-def weights_to_probabilities(weights: Sequence[float]) -> list[float]:
-    """Turn non-negative weights into probabilities proportional to them.
-
-    This is the weighting rule of Examples 2.4 and 2.7: the probability of a
-    choice is its weight over the sum of the weights of all alternatives.
-    """
-    values = [float(weight) for weight in weights]
-    for value in values:
-        if value < 0:
-            raise ProbabilityError(f"negative weight {value!r}")
-    total = sum(values)
-    if total <= 0:
-        raise ProbabilityError("weights must have a positive sum")
-    return [value / total for value in values]
-
-
-def probabilities_close(left: Iterable[float], right: Iterable[float],
-                        tolerance: float = 1e-6) -> bool:
-    """Element-wise comparison of two probability sequences."""
-    left_list = list(left)
-    right_list = list(right)
-    if len(left_list) != len(right_list):
-        return False
-    return all(abs(a - b) <= tolerance for a, b in zip(left_list, right_list))

@@ -56,10 +56,6 @@ class World:
         """True when this world contains a relation called *name*."""
         return name in self.catalog
 
-    def relation_names(self) -> list[str]:
-        """The names of the relations in this world."""
-        return self.catalog.names()
-
     # -- derivation --------------------------------------------------------------------
 
     def copy(self, probability: Any = _UNCHANGED,
@@ -87,12 +83,6 @@ class World:
         clone.catalog.drop(name, if_exists=True)
         return clone
 
-    def scaled(self, factor: float) -> "World":
-        """Return a copy whose probability is multiplied by *factor*."""
-        if self.probability is None:
-            return self.copy()
-        return self.copy(probability=self.probability * factor)
-
     # -- comparison ----------------------------------------------------------------------
 
     def same_contents(self, other: "World",
@@ -114,21 +104,6 @@ class World:
             if not mine.bag_equal(theirs):
                 return False
         return True
-
-    def fingerprint(self) -> tuple:
-        """A hashable canonical form of the world's contents (not probability)."""
-        return tuple(sorted(
-            (name.lower(), self.catalog.get(name).fingerprint())
-            for name in self.catalog.names()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, World):
-            return NotImplemented
-        return (self.fingerprint() == other.fingerprint()
-                and self.probability == other.probability)
-
-    def __hash__(self) -> int:
-        return hash((self.fingerprint(), self.probability))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.label or "?"

@@ -6,24 +6,22 @@ information: each member :class:`World` is one complete database.  This is the
 possible-worlds semantics of the paper, and the compact world-set
 decomposition backend (:mod:`repro.wsd`) is checked against it.
 
-The class offers the primitive operations the I-SQL engine needs:
+The class holds the state the explicit backend's I-SQL engine
+(:mod:`repro.core.executor`) works on:
 
-* per-world mapping and materialisation (possible-worlds query evaluation),
+* per-world mapping (possible-worlds query evaluation),
 * splitting a world into several (``repair by key``, ``choice of``),
-* filtering with renormalisation (``assert``),
-* cross-world collection (``possible``, ``certain``, ``conf``),
-* grouping of worlds by a per-world key (``group worlds by``).
+* the normalised world weights ``conf`` sums over,
+* order-insensitive comparison of world-sets (the parity checks).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import WorldSetError
 from ..relational.catalog import Catalog
 from ..relational.relation import Relation
-from ..relational.schema import Column, Schema
-from .probability import normalize, validate_probabilities
 from .world import World
 
 __all__ = ["WorldSet"]
@@ -58,18 +56,6 @@ class WorldSet:
                label: str | None = None) -> "WorldSet":
         """A world-set containing exactly one (complete) world."""
         return cls([World(catalog, probability, label)])
-
-    @classmethod
-    def from_catalogs(cls, catalogs: Sequence[Catalog],
-                      probabilities: Sequence[float] | None = None,
-                      labels: Sequence[str] | None = None) -> "WorldSet":
-        """Build a world-set from catalogs plus optional probabilities/labels."""
-        worlds = []
-        for index, catalog in enumerate(catalogs):
-            probability = probabilities[index] if probabilities is not None else None
-            label = labels[index] if labels is not None else _default_label(index)
-            worlds.append(World(catalog, probability, label))
-        return cls(worlds)
 
     # -- container protocol ------------------------------------------------------------
 
@@ -106,37 +92,17 @@ class WorldSet:
                 return world
         raise WorldSetError(f"no world labelled {label!r}")
 
-    def validate(self, require_normalized: bool = True) -> "WorldSet":
-        """Check the probability invariant; return self for chaining."""
-        if not self.worlds:
-            raise WorldSetError("a world-set must contain at least one world")
-        validate_probabilities(self.probabilities(),
-                               require_normalized=require_normalized)
-        return self
-
     def relabel(self) -> "WorldSet":
         """Assign fresh default labels A, B, C, ... in order."""
         for index, world in enumerate(self.worlds):
             world.label = _default_label(index)
         return self
 
-    # -- per-world evaluation (possible-worlds semantics) --------------------------------
+    # -- per-world mapping (possible-worlds semantics) -----------------------------------
 
     def map_worlds(self, transform: Callable[[World], World]) -> "WorldSet":
         """Apply *transform* to every world, keeping order."""
         return WorldSet([transform(world) for world in self.worlds])
-
-    def evaluate(self, query: Callable[[World], Any]) -> list[Any]:
-        """Evaluate *query* independently in every world; return the answers."""
-        return [query(world) for world in self.worlds]
-
-    def materialize(self, name: str,
-                    query: Callable[[World], Relation]) -> "WorldSet":
-        """``CREATE TABLE name AS query``: extend each world with its answer."""
-        extended = []
-        for world in self.worlds:
-            extended.append(world.with_relation(name, query(world)))
-        return WorldSet(extended)
 
     # -- world creation (repair-by-key, choice-of) ----------------------------------------
 
@@ -173,73 +139,7 @@ class WorldSet:
         expanded.relabel()
         return expanded
 
-    # -- assert -----------------------------------------------------------------------------
-
-    def filter_worlds(self, predicate: Callable[[World], bool],
-                      renormalize: bool = True) -> "WorldSet":
-        """Keep the worlds satisfying *predicate* (the ``assert`` operation).
-
-        In the probabilistic case the survivors are renormalised so their
-        probabilities sum to one, exactly as in Example 2.5 of the paper.
-        """
-        kept = [world for world in self.worlds if predicate(world)]
-        if not kept:
-            raise WorldSetError("assert dropped every world")
-        survivors = [world.copy() for world in kept]
-        if renormalize and survivors[0].probability is not None:
-            scaled = normalize([world.probability for world in survivors])
-            for world, probability in zip(survivors, scaled):
-                world.probability = probability
-        return WorldSet(survivors)
-
-    # -- cross-world collection: possible / certain / conf ------------------------------------
-
-    def possible(self, query: Callable[[World], Relation]) -> Relation:
-        """Union (set semantics) of the query answers across all worlds."""
-        answers = self.evaluate(query)
-        result = answers[0].distinct()
-        for answer in answers[1:]:
-            result = result.union(answer, distinct=True)
-        return result
-
-    def certain(self, query: Callable[[World], Relation]) -> Relation:
-        """Intersection (set semantics) of the query answers across all worlds."""
-        answers = self.evaluate(query)
-        result = answers[0].distinct()
-        for answer in answers[1:]:
-            result = result.intersect(answer, distinct=True)
-        return result
-
-    def tuple_confidence(self, query: Callable[[World], Relation]) -> Relation:
-        """Confidence of every possible answer tuple.
-
-        The confidence of a tuple is the sum of the probabilities of the
-        worlds whose answer contains it.  The result relation has the answer
-        columns plus a trailing ``conf`` column.  On a non-probabilistic
-        world-set each world counts with uniform weight ``1/N``.
-        """
-        answers = self.evaluate(query)
-        weights = self._world_weights()
-        first_schema = answers[0].schema
-        confidence: dict[tuple, float] = {}
-        order: list[tuple] = []
-        for answer, weight in zip(answers, weights):
-            for row in set(answer.rows):
-                if row not in confidence:
-                    confidence[row] = 0.0
-                    order.append(row)
-                confidence[row] += weight
-        schema = Schema(list(first_schema.without_qualifiers().columns)
-                        + [Column("conf")])
-        result = Relation(schema, [], coerce=False)
-        result.rows = [row + (confidence[row],) for row in order]
-        return result
-
-    def event_confidence(self, event: Callable[[World], bool]) -> float:
-        """Probability mass of the worlds satisfying *event*."""
-        weights = self._world_weights()
-        return sum(weight for world, weight in zip(self.worlds, weights)
-                   if event(world))
+    # -- world weights (conf) ----------------------------------------------------------------------
 
     def _world_weights(self) -> list[float]:
         if not self.worlds:
@@ -267,27 +167,6 @@ class WorldSet:
             # confidence is a probability, not a raw mass.
             return [weight / total for weight in weights]
         return weights
-
-    # -- group worlds by -------------------------------------------------------------------------
-
-    def group_worlds_by(self, key: Callable[[World], Any]
-                        ) -> list[tuple[Any, "WorldSet"]]:
-        """Partition the world-set by a per-world key (``group worlds by``).
-
-        The key is typically the fingerprint of a subquery's answer.  Groups
-        preserve the order in which their keys first appear; probabilities are
-        *not* renormalised inside groups — each group keeps the original world
-        probabilities, since the groups jointly cover the whole world-set.
-        """
-        order: list[Any] = []
-        groups: dict[Any, list[World]] = {}
-        for world in self.worlds:
-            value = key(world)
-            if value not in groups:
-                order.append(value)
-                groups[value] = []
-            groups[value].append(world)
-        return [(value, WorldSet(groups[value])) for value in order]
 
     # -- comparison and display ---------------------------------------------------------------------
 
@@ -319,19 +198,9 @@ class WorldSet:
                 return False
         return True
 
-    def total_tuples(self) -> int:
-        """Total number of stored tuples across all worlds (a size measure)."""
-        return sum(len(world.catalog.get(name))
-                   for world in self.worlds
-                   for name in world.catalog.names())
-
     def describe(self, relation_names: Iterable[str] | None = None,
                  max_rows: int | None = None) -> str:
         """Return a printable rendering of every world."""
         blocks = [world.describe(relation_names, max_rows=max_rows)
                   for world in self.worlds]
         return ("\n" + "=" * 40 + "\n").join(blocks)
-
-    def copy(self) -> "WorldSet":
-        """Deep-ish copy: worlds are copied, relations are shared copies."""
-        return WorldSet([world.copy() for world in self.worlds])

@@ -26,7 +26,6 @@ from .construct import (
     add_certain_relation,
     from_choice_of,
     from_key_repair,
-    from_tuple_independent,
     from_worldset,
 )
 from .decomposition import (
@@ -101,7 +100,6 @@ __all__ = [
     "factorize_component",
     "from_choice_of",
     "from_key_repair",
-    "from_tuple_independent",
     "from_worldset",
     "is_normalized",
     "normalise_clauses",

@@ -151,38 +151,6 @@ class Component:
         except ValueError as exc:
             raise DecompositionError(f"field {target} not in component") from exc
 
-    def covers(self, target: Field) -> bool:
-        """True when *target* belongs to this component."""
-        return target in self.fields
-
-    # -- queries ----------------------------------------------------------------------------
-
-    def values_of(self, target: Field) -> list[Any]:
-        """The values *target* takes across the alternatives, in order."""
-        index = self.field_index(target)
-        return [alternative.values[index] for alternative in self.alternatives]
-
-    def marginal(self, target: Field) -> dict[Any, float]:
-        """The marginal distribution of *target* (uniform when unweighted)."""
-        index = self.field_index(target)
-        weights: dict[Any, float] = {}
-        for alternative, probability in zip(self.alternatives,
-                                            self.effective_probabilities()):
-            value = alternative.values[index]
-            weights[value] = weights.get(value, 0.0) + probability
-        return weights
-
-    def satisfaction_probability(self, predicate: Callable[[dict[Field, Any]], bool]
-                                 ) -> float:
-        """Probability mass of the alternatives satisfying *predicate*."""
-        total = 0.0
-        for alternative, probability in zip(self.alternatives,
-                                            self.effective_probabilities()):
-            assignment = alternative.value_map(self.fields)
-            if predicate(assignment):
-                total += probability
-        return total
-
     # -- conditioning -----------------------------------------------------------------------------
 
     def condition(self, predicate: Callable[[dict[Field, Any]], bool]) -> "Component":
@@ -260,25 +228,7 @@ class Component:
                                                 mine_mass * theirs_mass))
         return Component(fields, alternatives)
 
-    # -- equality / display ------------------------------------------------------------------------------
-
-    def canonical(self) -> tuple:
-        """A hashable canonical form (sorted fields and alternatives)."""
-        order = sorted(range(len(self.fields)), key=lambda i: self.fields[i])
-        fields = tuple(self.fields[i] for i in order)
-        alternatives = tuple(sorted(
-            (tuple(a.values[i] for i in order),
-             None if a.probability is None else round(a.probability, 12))
-            for a in self.alternatives))
-        return (fields, alternatives)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Component):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
+    # -- display -------------------------------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(str(f) for f in self.fields)

@@ -8,8 +8,6 @@ objects from the situations the paper (and its companions) care about:
   repair (exponentially many);
 * ``from_choice_of`` — the compact counterpart of ``choice of``: a single
   component choosing the partition, controlling the presence of every tuple;
-* ``from_tuple_independent`` — a tuple-independent probabilistic table
-  (every tuple present independently with its own probability);
 * ``from_worldset`` — the generic explicit-to-compact conversion: one big
   component with one alternative per world, which :func:`repro.wsd.normalize.
   normalize` then factorises.
@@ -31,7 +29,6 @@ from .fields import EXISTS_ATTRIBUTE, Field
 __all__ = [
     "from_key_repair",
     "from_choice_of",
-    "from_tuple_independent",
     "from_worldset",
     "add_certain_relation",
 ]
@@ -192,35 +189,6 @@ def from_choice_of(relation: Relation, attributes: Sequence[str],
         alternatives.append(Alternative(presence_vector, probability))
     component = Component(presence_fields, alternatives)
     return WorldSetDecomposition(template, [component])
-
-
-def from_tuple_independent(relation: Relation,
-                           probabilities: Sequence[float],
-                           target_name: str | None = None) -> WorldSetDecomposition:
-    """Build a tuple-independent table: tuple *i* exists with probability
-    ``probabilities[i]``, independently of all others."""
-    if len(probabilities) != len(relation.rows):
-        raise DecompositionError(
-            "one probability per tuple is required for a tuple-independent table")
-    name = target_name or relation.name or "T"
-    schema = relation.schema.without_qualifiers()
-    template = Template()
-    template.add_relation(name, schema)
-    components = []
-    for position, (row, probability) in enumerate(zip(relation.rows, probabilities)):
-        if not 0.0 <= probability <= 1.0:
-            raise ProbabilityError(
-                f"tuple probability {probability!r} outside [0, 1]")
-        field = Field(name, position, EXISTS_ATTRIBUTE)
-        template.add_tuple(name, row, presence=field)
-        alternatives = [Alternative((True,), probability),
-                        Alternative((False,), 1.0 - probability)]
-        if probability == 1.0:
-            alternatives = [Alternative((True,), 1.0)]
-        elif probability == 0.0:
-            alternatives = [Alternative((False,), 1.0)]
-        components.append(Component([field], alternatives))
-    return WorldSetDecomposition(template, components)
 
 
 def from_worldset(world_set: WorldSet, relation_name: str) -> WorldSetDecomposition:

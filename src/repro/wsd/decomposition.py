@@ -17,9 +17,8 @@ representation behind the "10^10^6 worlds" argument of the companion papers.
 
 The class supports enumeration (guarded, for testing and for conversion to the
 explicit backend), exact confidence computation that only touches the relevant
-components, conditioning (``assert`` restricted to template predicates),
-possible/certain value queries, and normalisation into maximally factorised
-form (see :mod:`repro.wsd.normalize`).
+components, conditioning (``assert`` restricted to template predicates), and
+normalisation into maximally factorised form (see :mod:`repro.wsd.normalize`).
 """
 
 from __future__ import annotations
@@ -230,13 +229,6 @@ class WorldSetDecomposition:
         return (self.template.constant_cell_count()
                 + sum(component.storage_size() for component in self.components))
 
-    def component_for(self, target: Field) -> Component:
-        """The unique component containing *target*."""
-        for component in self.components:
-            if component.covers(target):
-                return component
-        raise DecompositionError(f"field {target} is not covered by any component")
-
     # -- enumeration -----------------------------------------------------------------------------
 
     def iter_assignments(self, limit: int | None = DEFAULT_ENUMERATION_LIMIT
@@ -293,41 +285,7 @@ class WorldSetDecomposition:
         world_set.relabel()
         return world_set
 
-    # -- probability and value queries ------------------------------------------------------------------
-
-    def world_probability(self, assignment: dict[Field, Any]) -> float:
-        """Probability of the world selected by *assignment*.
-
-        The assignment must pick, for every component, values matching exactly
-        one alternative; non-probabilistic components contribute uniformly.
-        """
-        probability = 1.0
-        for component in self.components:
-            matches = [index for index, alternative
-                       in enumerate(component.alternatives)
-                       if all(assignment.get(f) == v
-                              for f, v in zip(component.fields, alternative.values))]
-            if len(matches) != 1:
-                raise DecompositionError(
-                    "assignment does not select exactly one alternative of "
-                    f"component {component!r}")
-            probability *= component.effective_probabilities()[matches[0]]
-        return probability
-
-    def possible_values(self, target: Field) -> set[Any]:
-        """The set of values *target* takes in some world."""
-        return set(self.component_for(target).values_of(target))
-
-    def certain_value(self, target: Field) -> Any | None:
-        """The value *target* takes in every world, or None if it varies."""
-        values = self.possible_values(target)
-        if len(values) == 1:
-            return next(iter(values))
-        return None
-
-    def marginal(self, target: Field) -> dict[Any, float]:
-        """Marginal distribution of a single field."""
-        return self.component_for(target).marginal(target)
+    # -- confidence ------------------------------------------------------------------
 
     def tuple_confidence(self, relation: str, row: Sequence[Any]) -> float:
         """Exact confidence that *relation* contains *row*.
@@ -448,21 +406,6 @@ class WorldSetDecomposition:
                 clauses.append(sorted(atoms.items()))
         return clauses
 
-    def event_confidence(self, predicate: Callable[[dict[Field, Any]], bool],
-                         fields: Iterable[Field]) -> float:
-        """Probability that *predicate* over *fields* holds.
-
-        The predicate is opaque, so the components covering *fields* are
-        enumerated jointly.  When the event is known as a DNF over
-        (component, allowed alternative set) atoms, use
-        :meth:`dnf_confidence` instead — the d-tree engine evaluates it
-        without enumeration.
-        """
-        involved = set(fields)
-        relevant = [component for component in self.components
-                    if set(component.fields) & involved]
-        return self._event_probability(relevant, predicate)
-
     def _could_match(self, template_tuple: TemplateTuple, row: tuple) -> bool:
         if len(row) != len(template_tuple.cells):
             return False
@@ -532,11 +475,6 @@ class WorldSetDecomposition:
         return materialised.same_world_contents(
             world_set, relations=names,
             compare_probabilities=compare_probabilities and self.is_probabilistic())
-
-    def copy(self) -> "WorldSetDecomposition":
-        """Return a structural copy (components are immutable enough to share)."""
-        template = Template(dict(self.template.schemas), list(self.template.tuples))
-        return WorldSetDecomposition(template, list(self.components))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorldSetDecomposition({len(self.components)} components, "

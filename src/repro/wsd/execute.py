@@ -1106,11 +1106,12 @@ class WSDExecutor:
 
     # -- condition disjunctions --------------------------------------------------------------
 
-    def _condition_probability(self, working: WorldSetDecomposition,
-                               conditions: Sequence[Condition]) -> float:
-        """Exact probability of a disjunction of conditions.
+    def _condition_estimate(self, working: WorldSetDecomposition,
+                            conditions: Sequence[Condition]
+                            ) -> tuple[float, Optional[ApproximateConfidence]]:
+        """``(probability, approximation)`` of a disjunction of conditions.
 
-        Three tiers, cheapest first:
+        Three exact tiers, cheapest first:
 
         1. closed forms — a single conjunction multiplies out; a disjunction
            of single-atom conditions over independent components is
@@ -1125,19 +1126,10 @@ class WSDExecutor:
         An *approximate* tier sits behind these under graceful degradation:
         ``degradation="anytime"`` routes only the shapes whose exact tiers
         are all over budget to anytime Monte-Carlo sampling instead of
-        raising.  :meth:`_condition_estimate` exposes the accompanying
-        accuracy contract.
-        """
-        return self._condition_estimate(working, conditions)[0]
-
-    def _condition_estimate(self, working: WorldSetDecomposition,
-                            conditions: Sequence[Condition]
-                            ) -> tuple[float, Optional[ApproximateConfidence]]:
-        """``(probability, approximation)`` of a disjunction of conditions.
-
-        The second element is ``None`` whenever the answer is exact; an
-        :class:`ApproximateConfidence` (already recorded on the executor)
-        states the interval when the anytime sampling tier answered.
+        raising.  The second element is ``None`` whenever the answer is
+        exact; an :class:`ApproximateConfidence` (already recorded on the
+        executor) states the interval when the anytime sampling tier
+        answered.
         """
         if any(condition.is_true() for condition in conditions):
             return 1.0, None

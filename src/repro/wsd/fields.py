@@ -31,9 +31,5 @@ class Field:
     tuple_id: int
     attribute: str
 
-    def is_presence_field(self) -> bool:
-        """True when this field controls the presence of its template tuple."""
-        return self.attribute == EXISTS_ATTRIBUTE
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.relation}[{self.tuple_id}].{self.attribute}"

@@ -1,8 +1,20 @@
-"""Shared fixtures: the paper's datasets and preloaded MayBMS sessions."""
+"""Shared fixtures: the paper's datasets and preloaded MayBMS sessions.
+
+Hypothesis runs under one of two profiles, picked by ``HYPOTHESIS_PROFILE``:
+
+* ``tier1`` (the default) draws the same examples on every run — the seed is
+  derived from each test, and no example database is replayed — so a tier-1
+  run is reproducible;
+* ``explore`` draws fresh random examples, for the nightly fuzz job.  Turn a
+  failure it finds into an ``@example`` on the test.
+"""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import MayBMS
 from repro.datasets import (
@@ -13,6 +25,10 @@ from repro.datasets import (
     figure2_expected_worlds,
     figure3_whale_worlds,
 )
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

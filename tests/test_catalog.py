@@ -51,10 +51,6 @@ class TestMutation:
             catalog.drop("R")
         catalog.drop("R", if_exists=True)  # no error
 
-    def test_rename(self, catalog):
-        catalog.rename("R", "R2")
-        assert "R2" in catalog and "R" not in catalog
-
     def test_stored_relation_carries_name(self, catalog):
         assert catalog.get("R").name == "R"
 

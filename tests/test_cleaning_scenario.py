@@ -7,13 +7,11 @@ import pytest
 from repro import MayBMS
 from repro.cleaning import (
     CleaningPipeline,
-    build_swap_relation,
     enforce_functional_dependency,
     repair_key_step,
     swap_candidates_sql,
 )
 from repro.datasets import (
-    cleaning_relation_r,
     cleaning_swap_relation_s,
     figure6_expected_worlds,
     figure7_expected_worlds,
@@ -25,18 +23,14 @@ from repro.workloads import census_like_relation
 class TestSwapCandidates:
     def test_figure5_swap_table(self, db_cleaning):
         db_cleaning.execute(swap_candidates_sql("R", "S", "SSN", "TEL"))
-        expected = cleaning_swap_relation_s()
-        assert db_cleaning.relation("S").set_equal(expected)
-
-    def test_build_swap_relation_helper_matches_sql(self):
-        relation = build_swap_relation(cleaning_relation_r(), "SSN", "TEL")
-        assert relation.set_equal(cleaning_swap_relation_s())
+        relation = db_cleaning.relation("S")
+        assert set(relation.rows) == set(cleaning_swap_relation_s().rows)
         assert relation.schema.names() == ["SSN", "TEL", "SSN'", "TEL'"]
 
     def test_identical_values_produce_single_reading(self):
-        relation = Relation(["A", "B"], [(5, 5)])
-        swapped = build_swap_relation(relation, "A", "B")
-        assert len(swapped) == 1
+        db = MayBMS({"R": Relation(["A", "B"], [(5, 5)])})
+        db.execute(swap_candidates_sql("R", "S", "A", "B"))
+        assert len(db.relation("S")) == 1
 
 
 class TestRepairAndAssert:

@@ -286,7 +286,7 @@ class TestExecutorTiers:
             for i in range(5)]
         engine = executor._engine(working)
         engine.node_budget = 1
-        mass = executor._condition_probability(working, conditions)
+        mass = executor._condition_estimate(working, conditions)[0]
         expected_mass, expected_covers = brute_force(
             working.components, [condition.atoms for condition in conditions])
         assert mass == pytest.approx(expected_mass, abs=1e-9)
@@ -363,10 +363,12 @@ class TestPartiallyWeightedParity:
         world_set = wsd.to_worldset()
         weights = world_set._world_weights()
         assert weights == pytest.approx([0.5, 0.25, 0.25])
-        # Explicit tuple confidence through the normalised world weights
-        # agrees with the decomposition's d-tree answer.
-        explicit = world_set.event_confidence(
-            lambda world: ("x", 2) in set(world.relation("T").rows))
+        # The explicit backend's tuple confidence, through the normalised
+        # world weights, agrees with the decomposition's d-tree answer.
+        db = MayBMS()
+        db.world_set = world_set
+        explicit = db.execute(
+            "select conf from T where A = 'x' and B = 2;").scalar()
         assert explicit == pytest.approx(wsd.tuple_confidence("T", ("x", 2)))
 
     def test_overcommitted_mixed_component_rejected(self):

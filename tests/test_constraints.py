@@ -1,34 +1,23 @@
-"""Unit tests for keys, functional dependencies and repair-group enumeration."""
+"""Unit tests for keys, key-repair groups, and FD enforcement through I-SQL.
+
+Functional dependencies have no checker of their own: they are enforced the
+way the paper's Section 3.2 does it, with an ``assert not exists`` statement
+on the explicit backend.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConstraintViolationError, SchemaError
+from repro import MayBMS
+from repro.cleaning import enforce_functional_dependency
+from repro.errors import ConstraintViolationError, ParseError, WorldSetError
 from repro.relational.constraints import (
-    FunctionalDependency,
-    KeyConstraint,
-    check_functional_dependency,
     check_key,
-    count_key_repairs,
-    fd_violations,
-    iter_attribute_values,
     key_repair_groups,
     key_violations,
 )
 from repro.relational.relation import Relation
-
-
-class TestDeclarations:
-    def test_key_requires_attributes(self):
-        with pytest.raises(SchemaError):
-            KeyConstraint(())
-        assert str(KeyConstraint(("A",))) == "KEY(A)"
-
-    def test_fd_requires_both_sides(self):
-        with pytest.raises(SchemaError):
-            FunctionalDependency((), ("B",))
-        assert str(FunctionalDependency(("A",), ("B",))) == "A -> B"
 
 
 class TestKeyChecking:
@@ -46,23 +35,26 @@ class TestKeyChecking:
 
 
 class TestFunctionalDependencies:
-    def test_fd_violation_detected(self):
-        relation = Relation(["SSN", "TEL"], [(123, 456), (123, 789)])
-        fd = FunctionalDependency(("SSN",), ("TEL",))
-        assert not check_functional_dependency(relation, fd)
-        assert len(fd_violations(relation, fd)) == 1
+    def test_fd_violation_drops_the_only_world(self):
+        db = MayBMS({"R": Relation(["SSN", "TEL"], [(123, 456), (123, 789)])})
+        with pytest.raises(WorldSetError):
+            db.execute(enforce_functional_dependency("R", "U", "SSN", "TEL"))
 
     def test_fd_holds(self):
-        relation = Relation(["SSN", "TEL"], [(123, 456), (789, 123)])
-        fd = FunctionalDependency(("SSN",), ("TEL",))
-        assert check_functional_dependency(relation, fd)
+        db = MayBMS({"R": Relation(["SSN", "TEL"], [(123, 456), (789, 123)])})
+        db.execute(enforce_functional_dependency("R", "U", "SSN", "TEL"))
+        assert db.world_count() == 1
+        assert sorted(db.relation("U").rows) == [(123, 456), (789, 123)]
 
-    def test_fd_raise_on_violation(self):
-        relation = Relation(["SSN", "TEL"], [(1, 2), (1, 3)])
-        with pytest.raises(ConstraintViolationError):
-            check_functional_dependency(relation,
-                                        FunctionalDependency(("SSN",), ("TEL",)),
-                                        raise_on_violation=True)
+    def test_fd_drops_only_the_violating_worlds(self):
+        db = MayBMS({"S": Relation(["ID", "SSN", "TEL"], [
+            (1, 123, 456), (1, 123, 789), (2, 123, 456)])})
+        db.execute("create table T as select SSN, TEL from S repair by key ID;")
+        assert db.world_count() == 2
+        db.execute(enforce_functional_dependency("T", "U", "SSN", "TEL"))
+        assert db.world_count() == 1
+        assert db.execute("select certain SSN, TEL from U;").rows() == \
+            [(123, 456)]
 
 
 class TestRepairGroups:
@@ -71,14 +63,18 @@ class TestRepairGroups:
         assert [value for value, _ in groups] == [("a1",), ("a2",), ("a3",)]
         assert [len(rows) for _, rows in groups] == [2, 2, 1]
 
+    def test_repair_by_key_requires_attributes(self, relation_r):
+        db = MayBMS({"R": relation_r})
+        with pytest.raises(ParseError):
+            db.execute("create table I as select * from R repair by key;")
+
     def test_repair_count_is_product_of_group_sizes(self, relation_r):
-        assert count_key_repairs(relation_r, ["A"]) == 4
+        db = MayBMS({"R": relation_r})
+        db.execute("create table I as select * from R repair by key A;")
+        assert db.world_count() == 4
 
     def test_repair_count_explodes_exponentially(self):
         rows = [(group, option) for group in range(10) for option in range(3)]
-        relation = Relation(["K", "V"], rows)
-        assert count_key_repairs(relation, ["K"]) == 3 ** 10
-
-    def test_iter_attribute_values_distinct_in_order(self, relation_s):
-        values = list(iter_attribute_values(relation_s, ["C"]))
-        assert values == [("c2",), ("c4",)]
+        db = MayBMS({"R": Relation(["K", "V"], rows)}, backend="wsd")
+        db.execute("create table I as select * from R repair by key K;")
+        assert db.world_count() == 3 ** 10

@@ -28,8 +28,10 @@ the recovered state to answer identically to a session that never left
 memory — the fuzzing counterpart of ``tests/test_crash_recovery.py``.
 
 The example budget honours ``REPRO_FUZZ_EXAMPLES``: unset (the default) keeps
-the quick PR budget; the nightly CI job sets it to 1000+ for an extended
-sweep.  On a failure Hypothesis prints the falsifying program *and* the
+the quick PR budget, drawn the same way on every run (the derandomized
+``tier1`` Hypothesis profile of ``conftest.py``); the nightly CI job sets it
+to 1000+ under ``HYPOTHESIS_PROFILE=explore`` for an extended sweep of
+fresh programs.  On a failure Hypothesis prints the falsifying program *and* the
 ``@reproduce_failure`` blob (``print_blob``), so a nightly catch is
 reproducible locally with one decorator.
 """

@@ -147,9 +147,9 @@ class TestExample210Conf:
     Note on the expected value: the paper reports 0.53 referring to a column
     ``Time`` that does not appear in Figure 1; with the printed data and the
     condition ``sum(B) < 50`` the qualifying worlds are A (sum 44, P=2/18)
-    and B (sum 49, P=6/18), giving 4/9 ~ 0.44.  EXPERIMENTS.md records the
-    discrepancy; the machinery (sum of surviving world probabilities) is
-    identical.
+    and B (sum 49, P=6/18), giving 4/9 ~ 0.44.  The README section
+    "Paper vs reproduction" records the discrepancy; the machinery (sum of
+    surviving world probabilities) is identical.
     """
 
     def test_conf_of_sum_condition(self, db_figure2):

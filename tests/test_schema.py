@@ -81,15 +81,6 @@ class TestSchemaDerivation:
         assert schema.qualified_names() == ["R.A", "R.B"]
         assert schema.without_qualifiers().qualified_names() == ["A", "B"]
 
-    def test_rename(self):
-        schema = Schema([Column("A", SqlType.INTEGER)]).rename(["X"])
-        assert schema.names() == ["X"]
-        assert schema[0].type is SqlType.INTEGER
-
-    def test_rename_arity_mismatch(self):
-        with pytest.raises(SchemaError):
-            Schema(["A", "B"]).rename(["X"])
-
     def test_project(self):
         schema = Schema(["A", "B", "C"]).project([2, 0])
         assert schema.names() == ["C", "A"]

@@ -1,60 +1,64 @@
-"""Unit tests for the explicit world-set backend (worlds, world-sets, probability)."""
+"""Unit tests for the explicit world-set backend (worlds, world-sets, probability).
+
+Questions about a world-set (``possible``, ``certain``, ``conf``,
+``assert``, ``group worlds by``) are asked in I-SQL through a session whose
+world-set is the one under test.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import MayBMS
 from repro.errors import ProbabilityError, WorldSetError
 from repro.relational.relation import Relation
-from repro.worldset import (
-    World,
-    WorldSet,
-    normalize,
-    probabilities_close,
-    validate_probabilities,
-    weights_to_probabilities,
-)
+from repro.worldset import World, WorldSet, normalize
 
 
 def make_world(value, probability=None, label=None):
     return World({"T": Relation(["V"], [(value,)])}, probability, label)
 
 
+def session(*worlds):
+    """An explicit-backend session holding exactly *worlds*."""
+    db = MayBMS()
+    db.world_set = WorldSet(worlds)
+    return db
+
+
 class TestProbabilityHelpers:
-    def test_validate_non_probabilistic(self):
-        assert validate_probabilities([None, None]) is False
-
-    def test_validate_probabilistic(self):
-        assert validate_probabilities([0.4, 0.6]) is True
-
-    def test_validate_rejects_mixture(self):
-        with pytest.raises(ProbabilityError):
-            validate_probabilities([0.4, None])
-
-    def test_validate_rejects_negative(self):
-        with pytest.raises(ProbabilityError):
-            validate_probabilities([-0.1, 1.1])
-
-    def test_validate_rejects_unnormalised(self):
-        with pytest.raises(ProbabilityError):
-            validate_probabilities([0.2, 0.2])
-        assert validate_probabilities([0.2, 0.2], require_normalized=False)
-
     def test_normalize(self):
         assert normalize([1, 3]) == [0.25, 0.75]
         with pytest.raises(ProbabilityError):
             normalize([0.0, 0.0])
 
-    def test_weights_to_probabilities(self):
-        assert weights_to_probabilities([2, 6]) == [0.25, 0.75]
-        with pytest.raises(ProbabilityError):
-            weights_to_probabilities([-1, 2])
-        with pytest.raises(ProbabilityError):
-            weights_to_probabilities([0, 0])
 
-    def test_probabilities_close(self):
-        assert probabilities_close([0.5, 0.5], [0.5000001, 0.4999999])
-        assert not probabilities_close([0.5], [0.5, 0.5])
+@pytest.mark.parametrize("backend", ["explicit", "wsd"])
+class TestRepairWeights:
+    """``repair by key ... weight`` turns each key group's weights into
+    world probabilities, on both backends."""
+
+    @staticmethod
+    def repair(backend, weights):
+        db = MayBMS({"R": Relation(["K", "V", "W"], [
+            (1, value, weight) for value, weight in enumerate(weights)])},
+            backend=backend)
+        db.execute("create table I as select K, V from R "
+                   "repair by key K weight W;")
+        return db
+
+    def test_weights_are_normalised(self, backend):
+        db = self.repair(backend, [2, 6])
+        confidences = dict(db.execute("select conf, V from I;").rows())
+        assert confidences == pytest.approx({0: 0.25, 1: 0.75})
+
+    def test_negative_weight_rejected(self, backend):
+        with pytest.raises(ProbabilityError):
+            self.repair(backend, [-1, 2])
+
+    def test_zero_weight_sum_rejected(self, backend):
+        with pytest.raises(ProbabilityError):
+            self.repair(backend, [0, 0])
 
 
 class TestWorld:
@@ -62,7 +66,6 @@ class TestWorld:
         world = make_world(1, label="A")
         assert world.has_relation("T")
         assert world.relation("T").rows == [(1,)]
-        assert world.relation_names() == ["T"]
 
     def test_copy_is_independent_and_keeps_probability(self):
         world = make_world(1, probability=0.5, label="A")
@@ -77,10 +80,6 @@ class TestWorld:
         extended = world.with_relation("U", Relation(["X"], [(9,)]))
         assert extended.has_relation("U") and not world.has_relation("U")
         assert not extended.without_relation("U").has_relation("U")
-
-    def test_scaled(self):
-        assert make_world(1, 0.5).scaled(0.5).probability == 0.25
-        assert make_world(1).scaled(0.5).probability is None
 
     def test_same_contents(self):
         assert make_world(1).same_contents(make_world(1, probability=0.3))
@@ -106,30 +105,21 @@ class TestWorldSetBasics:
         with pytest.raises(WorldSetError):
             world_set.world_by_label("Z")
 
-    def test_validate_empty_rejected(self):
-        with pytest.raises(WorldSetError):
-            WorldSet([]).validate()
-
     def test_relabel(self):
         world_set = WorldSet([make_world(i) for i in range(30)])
         world_set.relabel()
         assert world_set.labels()[0] == "A"
         assert world_set.labels()[26] == "A1"
 
-    def test_total_tuples(self):
-        world_set = WorldSet([make_world(1), make_world(2)])
-        assert world_set.total_tuples() == 2
-
-
 class TestWorldSetOperations:
-    def test_map_and_materialize(self):
-        world_set = WorldSet([make_world(1, label="A"), make_world(2, label="B")])
-        extended = world_set.materialize(
-            "Doubled", lambda world: Relation(
-                ["V"], [(row[0] * 2,) for row in world.relation("T").rows]))
-        assert [w.relation("Doubled").rows for w in extended] == [[(2,)], [(4,)]]
+    def test_create_table_as_extends_every_world(self):
+        db = session(make_world(1, label="A"), make_world(2, label="B"))
+        before = db.world_set
+        db.execute("create table Doubled as select V * 2 as V from T;")
+        assert [w.relation("Doubled").rows for w in db.world_set] == \
+            [[(2,)], [(4,)]]
         # Input worlds untouched.
-        assert not world_set[0].has_relation("Doubled")
+        assert not before[0].has_relation("Doubled")
 
     def test_expand_with_weights_multiplies_probabilities(self):
         world_set = WorldSet([make_world(0, probability=1.0, label="A")])
@@ -153,54 +143,52 @@ class TestWorldSetOperations:
         with pytest.raises(WorldSetError):
             world_set.expand(lambda world: [])
 
-    def test_filter_worlds_renormalises(self):
-        world_set = WorldSet([make_world(1, 0.25, "A"), make_world(2, 0.25, "B"),
-                              make_world(3, 0.5, "C")])
-        filtered = world_set.filter_worlds(
-            lambda world: world.relation("T").rows[0][0] >= 2)
-        assert filtered.labels() == ["B", "C"]
-        assert probabilities_close(filtered.probabilities(), [1 / 3, 2 / 3])
+    def test_assert_renormalises(self):
+        db = session(make_world(1, 0.25, "A"), make_world(2, 0.25, "B"),
+                     make_world(3, 0.5, "C"))
+        db.execute("create table U as select * from T "
+                   "assert exists (select * from T where V >= 2);")
+        assert db.world_set.labels() == ["B", "C"]
+        assert db.world_set.probabilities() == pytest.approx([1 / 3, 2 / 3])
 
-    def test_filter_dropping_all_worlds_raises(self):
-        world_set = WorldSet([make_world(1, 1.0)])
+    def test_assert_dropping_all_worlds_raises(self):
+        db = session(make_world(1, 1.0))
         with pytest.raises(WorldSetError):
-            world_set.filter_worlds(lambda world: False)
+            db.execute("create table U as select * from T "
+                       "assert exists (select * from T where V > 1);")
 
     def test_possible_and_certain(self):
-        world_set = WorldSet([make_world(1), make_world(2)])
-        def query(world):
-            return world.relation("T")
-
-        assert sorted(world_set.possible(query).rows) == [(1,), (2,)]
-        assert world_set.certain(query).rows == []
+        db = session(make_world(1), make_world(2))
+        assert sorted(db.execute("select possible V from T;").rows()) == \
+            [(1,), (2,)]
+        assert db.execute("select certain V from T;").rows() == []
 
     def test_certain_keeps_shared_tuples(self):
-        shared = World({"T": Relation(["V"], [(1,), (7,)])})
-        other = World({"T": Relation(["V"], [(7,)])})
-        world_set = WorldSet([shared, other])
-        assert world_set.certain(lambda w: w.relation("T")).rows == [(7,)]
+        db = session(World({"T": Relation(["V"], [(1,), (7,)])}),
+                     World({"T": Relation(["V"], [(7,)])}))
+        assert db.execute("select certain V from T;").rows() == [(7,)]
 
     def test_tuple_confidence_uniform_when_non_probabilistic(self):
-        world_set = WorldSet([make_world(1), make_world(1), make_world(2)])
-        confidences = {row[0]: row[1] for row in
-                       world_set.tuple_confidence(
-                           lambda w: w.relation("T")).rows}
+        db = session(make_world(1), make_world(1), make_world(2))
+        confidences = dict(db.execute("select conf, V from T;").rows())
         assert confidences[1] == pytest.approx(2 / 3)
         assert confidences[2] == pytest.approx(1 / 3)
 
     def test_event_confidence(self):
-        world_set = WorldSet([make_world(1, 0.25), make_world(2, 0.75)])
-        probability = world_set.event_confidence(
-            lambda world: world.relation("T").rows[0][0] == 2)
+        db = session(make_world(1, 0.25), make_world(2, 0.75))
+        probability = db.execute("select conf from T where V = 2;").scalar()
         assert probability == pytest.approx(0.75)
 
     def test_group_worlds_by(self):
-        world_set = WorldSet([make_world(1, label="A"), make_world(2, label="B"),
-                              make_world(1, label="C")])
-        groups = world_set.group_worlds_by(
-            lambda world: world.relation("T").rows[0][0])
-        assert [key for key, _ in groups] == [1, 2]
-        assert [len(group) for _, group in groups] == [2, 1]
+        db = session(make_world(1, label="A"), make_world(2, label="B"),
+                     make_world(3, label="C"))
+        answers = db.execute(
+            "select possible V from T "
+            "group worlds by (select 'big' from T where V > 1);"
+        ).answers_by_label()
+        assert answers["A"].rows == [(1,)]
+        assert sorted(answers["B"].rows) == sorted(answers["C"].rows) == \
+            [(2,), (3,)]
 
     def test_same_world_contents_order_insensitive(self):
         first = WorldSet([make_world(1, 0.5), make_world(2, 0.5)])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DecompositionError, ProbabilityError
+from repro.errors import DecompositionError
 from repro.relational.relation import Relation
 from repro.worldset import WorldSet, repair_by_key
 from repro.wsd import (
@@ -13,7 +13,6 @@ from repro.wsd import (
     Field,
     from_choice_of,
     from_key_repair,
-    from_tuple_independent,
     from_worldset,
     factorize_component,
     is_normalized,
@@ -78,22 +77,6 @@ class TestFromChoiceOf:
         wsd = from_choice_of(relation_s, ["E"])
         assert len(wsd.components) == 1
         assert wsd.components[0].arity() == 3
-
-
-class TestTupleIndependent:
-    def test_world_count_and_confidence(self):
-        relation = Relation(["V"], [(1,), (2,), (3,)], name="T")
-        wsd = from_tuple_independent(relation, [0.5, 0.5, 1.0])
-        assert wsd.world_count() == 4  # third tuple is certain
-        assert wsd.tuple_confidence("T", (2,)) == pytest.approx(0.5)
-        assert wsd.tuple_confidence("T", (3,)) == pytest.approx(1.0)
-
-    def test_probability_bounds_checked(self):
-        relation = Relation(["V"], [(1,)], name="T")
-        with pytest.raises(ProbabilityError):
-            from_tuple_independent(relation, [1.5])
-        with pytest.raises(DecompositionError):
-            from_tuple_independent(relation, [0.5, 0.5])
 
 
 class TestFromWorldSetAndNormalize:
