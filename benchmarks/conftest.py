@@ -1,62 +1,29 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmark series.
 
-Every benchmark both *checks* the paper's expected answer (so a regression is
-caught even under ``--benchmark-only``) and *prints* the rows / series the
-corresponding figure or example reports, so running::
+Every series both *checks* its correctness and work-counter guarantees and
+*prints* the table it reproduces, so running::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 
-regenerates the paper's artefacts on stdout.  The README section "Paper vs
-reproduction" records where they differ from the paper's.
+prints the series on stdout.  Wall-clock is printed, never asserted: the
+end-to-end benchmark in ``bench/`` is where timings are judged.  The paper's
+worked examples and figures are asserted in ``tests/test_paper_examples.py``
+and the scenario tests, and printed by ``examples/``.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep parameters to tiny grids,
 so CI can run the whole benchmark suite in seconds as a smoke test (the
-perf numbers are meaningless in that mode, but the code paths and the
-correctness assertions are fully exercised).
+code paths and the correctness assertions are fully exercised).
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-import pytest
-
-from repro import MayBMS
-from repro.datasets import cleaning_relation_r, figure1_database, figure3_whale_worlds
 from repro.workloads import DirtyRelationSpec
 
 #: True when the benchmarks run as a CI smoke test with tiny sweeps.
 BENCH_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in {
     "1", "true", "yes", "on"}
-
-#: Where machine-readable BENCH_*.json result files land (CI uploads them as
-#: artifacts).  Override with REPRO_BENCH_RESULTS.
-BENCH_RESULTS_DIR = os.environ.get(
-    "REPRO_BENCH_RESULTS",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"))
-
-
-def write_bench_json(name: str, headers: list[str],
-                     rows: list[tuple], **extra) -> str:
-    """Write one benchmark series as ``<results>/<name>.json``.
-
-    The payload carries the printed table (``headers`` + ``series`` rows as
-    dicts), the smoke flag (so consumers can discard meaningless perf
-    numbers), and any keyword extras (timings, counters).  Returns the path.
-    """
-    os.makedirs(BENCH_RESULTS_DIR, exist_ok=True)
-    path = os.path.join(BENCH_RESULTS_DIR, f"{name}.json")
-    payload = {
-        "bench": name,
-        "smoke": BENCH_SMOKE,
-        "headers": headers,
-        "series": [dict(zip(headers, row)) for row in rows],
-    }
-    payload.update(extra)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-    return path
 
 
 def scalability_sweep_parameters() -> dict:
@@ -77,8 +44,7 @@ def scale1_grounding_parameters() -> dict:
     projection batch); ``options`` sizes the per-group alternatives;
     ``repetitions`` sizes the per-point timing samples.  The sweep times
     the same prepared symbolic query with the columnar batch engine on and
-    off (``db.backend.columnar``), so the committed baseline records the
-    row-at-a-time latency the ≥2x win is measured against.
+    off (``db.backend.columnar``) and prints both latencies.
     """
     if BENCH_SMOKE:
         return {"groups": (30, 60), "options": 4, "repetitions": 15}
@@ -221,7 +187,7 @@ def dur1_parameters() -> dict:
 
 
 def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
-    """Print a small aligned table (the benchmark's reproduction of a figure)."""
+    """Print a small aligned table (one benchmark series)."""
     rendered = [[str(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]
     for row in rendered:
@@ -233,26 +199,3 @@ def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     for row in rendered:
         print(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
 
-
-@pytest.fixture
-def fresh_figure1_db():
-    """A factory returning a new session on the Figure 1 database each call."""
-    return lambda: MayBMS(figure1_database())
-
-
-@pytest.fixture
-def fresh_whales_db():
-    """A factory returning a new session on the Figure 3 world-set each call."""
-
-    def build():
-        db = MayBMS()
-        db.world_set = figure3_whale_worlds()
-        return db
-
-    return build
-
-
-@pytest.fixture
-def fresh_cleaning_db():
-    """A factory returning a new session on the Figure 5 relation each call."""
-    return lambda: MayBMS({"R": cleaning_relation_r()})

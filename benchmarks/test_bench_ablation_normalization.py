@@ -5,7 +5,7 @@ unnormalised decomposition (one component holding every field) stores the full
 cross product of the independent choices, while the normalised form stores the
 factors separately.  The benchmark converts explicitly enumerated world-sets
 of increasing size into WSDs and reports the storage with and without
-normalisation, plus the time the factorisation itself takes.
+normalisation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.workloads import DirtyRelationSpec, dirty_key_relation
 from repro.worldset import WorldSet, repair_by_key
 from repro.wsd import from_worldset, is_normalized, normalize
 
-from conftest import print_table, write_bench_json
+from conftest import print_table
 
 SPECS = [DirtyRelationSpec(groups=g, options=2, seed=11) for g in (2, 4, 6, 8)]
 
@@ -32,16 +32,10 @@ def build_unnormalised():
     return results
 
 
-def test_abl1_normalisation_reduces_storage(benchmark):
-    prepared = build_unnormalised()
-
-    def normalise_all():
-        return [(spec, explicit, raw, normalize(raw))
-                for spec, explicit, raw in prepared]
-
-    results = benchmark(normalise_all)
+def test_abl1_normalisation_reduces_storage():
     rows = []
-    for spec, explicit, raw, normalised in results:
+    for spec, explicit, raw in build_unnormalised():
+        normalised = normalize(raw)
         assert normalised.world_count() == raw.world_count()
         assert normalised.equivalent_to_worldset(explicit, relations=["I"])
         assert is_normalized(normalised)
@@ -55,12 +49,9 @@ def test_abl1_normalisation_reduces_storage(benchmark):
     print_table("ABL-1: storage with and without normalisation",
                 ["point", "worlds", "unnormalised cells", "normalised cells",
                  "components"], rows)
-    write_bench_json("BENCH_ABL1",
-                     ["point", "worlds", "unnormalised cells",
-                      "normalised cells", "components"], rows)
 
 
-def test_abl1_confidence_cost_unnormalised_vs_normalised(benchmark):
+def test_abl1_confidence_cost_unnormalised_vs_normalised():
     spec = SPECS[-1]
     relation = dirty_key_relation(spec, name="Dirty")
     explicit = repair_by_key(WorldSet.single({"Dirty": relation}), "Dirty",
@@ -69,10 +60,7 @@ def test_abl1_confidence_cost_unnormalised_vs_normalised(benchmark):
     normalised = normalize(raw)
     probe = explicit.worlds[0].relation("I").rows[0]
 
-    def query_normalised():
-        return normalised.tuple_confidence("I", probe)
-
-    fast = benchmark(query_normalised)
+    fast = normalised.tuple_confidence("I", probe)
     slow = raw.tuple_confidence("I", probe)
     assert fast == pytest.approx(slow)
     print_table("ABL-1: tuple confidence agrees across representations",

@@ -1,7 +1,6 @@
 """BENCH_DUR1 — the durable store: commit latency, recovery time, snapshots.
 
-The durability PR's cost model, measured (numbers printed and written to
-``BENCH_DUR1.json``; the CI bench-smoke job runs this file by name):
+The durable store's cost model, measured (numbers printed, not asserted):
 
 * **commit latency** — a durable commit appends one CRC'd WAL record and
   fsyncs it (the default policy); the per-commit median is the price of
@@ -25,11 +24,7 @@ import time
 
 from repro import MayBMS
 
-from conftest import (
-    dur1_parameters,
-    print_table,
-    write_bench_json,
-)
+from conftest import dur1_parameters, print_table
 
 PARAMS = dur1_parameters()
 
@@ -100,4 +95,3 @@ class TestDur1Durability:
                          replayed2))
         print_table("BENCH_DUR1: durable commits, recovery, snapshots",
                     headers, rows)
-        write_bench_json("BENCH_DUR1", headers, rows)

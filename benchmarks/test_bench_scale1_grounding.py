@@ -9,8 +9,7 @@ per-execution work is exactly the hot loops) is timed twice per sweep
 point — with the columnar batch engine (``db.backend.columnar``, the
 default) and with the row-at-a-time interpreted loops it replaces.
 
-Asserted, and exercised by the CI bench-smoke job's named SCALE-1 columnar
-step:
+Asserted:
 
 * the columnar path is **active**: ``columnar_batches`` > 0 and
   ``rowwise_fallbacks`` == 0 over the whole sweep (every batch of this
@@ -18,11 +17,8 @@ step:
   call it columnar);
 * answers are identical on both paths at every point.
 
-The speed-up is printed and recorded, not asserted: wall-clock ratios on a
-shared host are not a pass/fail signal, the work counters above are.
-``BENCH_SCALE1_grounding.json`` records both latency columns, so the
-committed baseline pins the row-at-a-time numbers and the regression gate
-catches the columnar path slowing down.
+The speed-up is printed, not asserted: wall-clock ratios on a shared host
+are not a pass/fail signal, the work counters above are.
 """
 
 from __future__ import annotations
@@ -34,11 +30,7 @@ from repro import MayBMS
 from repro.workloads import DirtyRelationSpec
 from repro.workloads.generators import dirty_key_relation
 
-from conftest import (
-    print_table,
-    scale1_grounding_parameters,
-    write_bench_json,
-)
+from conftest import print_table, scale1_grounding_parameters
 
 PARAMS = scale1_grounding_parameters()
 
@@ -70,9 +62,8 @@ def _median_latency_ms(prepared, arguments: tuple) -> float:
 
 
 class TestScale1GroundingColumnar:
-    def test_columnar_batches_match_rowwise_loops(self, benchmark):
+    def test_columnar_batches_match_rowwise_loops(self):
         rows = []
-        total_batches = 0
         for groups in PARAMS["groups"]:
             db = _build_session(groups)
             prepared = db.prepare(GROUNDING_QUERY)
@@ -89,7 +80,6 @@ class TestScale1GroundingColumnar:
             assert db.backend.stats.rowwise_fallbacks == fallbacks_before, (
                 "every batch of this workload must compile columnar — a "
                 "rowwise fallback would time the interpreted loop instead")
-            total_batches += batches
 
             db.backend.columnar = False
             try:
@@ -108,10 +98,6 @@ class TestScale1GroundingColumnar:
                    "speedup"]
         print_table("SCALE-1: columnar vs row-at-a-time grounding loops",
                     headers, rows)
-        write_bench_json("BENCH_SCALE1_grounding", headers, rows,
-                         query=GROUNDING_QUERY,
-                         columnar_batches=total_batches)
-        benchmark(lambda: None)
 
     def test_rowwise_mode_counts_no_columnar_batches(self):
         """The baseline leg is honest: with the engine off, nothing is

@@ -2,9 +2,8 @@
 
 SCALE-1..4 made every query class scale with the *representation*; this
 series measures whether the engine scales with *traffic*.  Three questions,
-all asserted on answers and work counters (the timings are printed and
-written to ``BENCH_SCALE5.json`` but are not pass/fail; the CI bench-smoke
-job runs this file by name):
+all asserted on answers and work counters (the timings are printed but are
+not pass/fail):
 
 * **cold vs. prepared** — executing a statement from scratch pays parse +
   classification + shape analysis + symbolic grounding before evaluating;
@@ -34,11 +33,7 @@ from repro.workloads import DirtyRelationSpec
 from repro.workloads.generators import dirty_key_relation
 from repro.wsd.plan_cache import GLOBAL_PLAN_CACHE
 
-from conftest import (
-    print_table,
-    scale5_serving_parameters,
-    write_bench_json,
-)
+from conftest import print_table, scale5_serving_parameters
 
 PARAMS = scale5_serving_parameters()
 
@@ -67,7 +62,7 @@ def _query_arguments(groups: int) -> tuple:
 
 
 class TestScale5ColdVsPrepared:
-    def test_prepared_reexecution_skips_compilation(self, benchmark):
+    def test_prepared_reexecution_skips_compilation(self):
         rows = []
         for groups in PARAMS["groups"]:
             arguments = _query_arguments(groups)
@@ -109,9 +104,6 @@ class TestScale5ColdVsPrepared:
                          round(speedup, 1)))
         headers = ["groups", "options", "cold ms", "prepared ms", "speedup"]
         print_table("SCALE-5: cold vs prepared latency", headers, rows)
-        write_bench_json("BENCH_SCALE5", headers, rows,
-                         query=REPEATED_QUERY)
-        benchmark(lambda: None)
 
     def test_statement_cache_makes_plain_execute_fast(self):
         """Plain execute(sql) hits the LRU: over ten repeats it misses no
@@ -183,7 +175,7 @@ class TestScale5SharedPlans:
 
 
 class TestScale5ReadScaling:
-    def test_read_throughput_scales_with_threads(self, benchmark):
+    def test_read_throughput_scales_with_threads(self):
         groups = PARAMS["groups"][-1]
         arguments = _query_arguments(groups)
         db = _build_session(groups)
@@ -250,10 +242,6 @@ class TestScale5ReadScaling:
             "two readers could not hold the lock simultaneously"
         headers = ["threads", "reads", "wall ms", "reads/s"]
         print_table("SCALE-5: multi-threaded read throughput", headers, rows)
-        write_bench_json("BENCH_SCALE5_threads", headers, rows,
-                         query=REPEATED_QUERY,
-                         peak_readers=db.lock.peak_readers)
-        benchmark(lambda: None)
 
 
 class TestScale5ConcurrentDml:

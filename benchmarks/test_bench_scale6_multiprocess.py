@@ -7,17 +7,17 @@ against that ceiling on the same grounding-heavy workload, over real HTTP:
 
 * **read scale-out** — aggregate reads/s of a pool at 1/2/4 workers vs the
   single-process one-client baseline, result caches disabled so the sweep
-  measures execution scaling, not caching.  The full sweep on a >=4-core
-  machine must reach **>=3x** the baseline at 4 workers; smoke mode (and
-  fewer cores) asserts a loose sanity floor instead — the SCALE-series
-  convention that smoke timings are not perf claims.
+  measures execution scaling, not caching.  Every HTTP answer must equal
+  the in-process serial answer; the throughput is printed, not asserted
+  (pool speed and spread are judged by the ``pool_reads`` workload of the
+  end-to-end benchmark in ``bench/``).
 * **result-cache cold vs hit** — first-request latency (parse + plan +
   ground + evaluate + render) vs a generation-keyed
   :class:`~repro.serving.prepared.ResultCache` hit of the same request.
-  The timings are reported (and gated by ``check_regression.py``); the
-  test itself asserts exact counters from ``/stats``: result-cache hits
-  rise by exactly the number of hit-leg requests, while statement-cache
-  misses and grounding-cache lookups do not move.
+  The timings are printed; the test asserts exact counters from
+  ``/stats``: result-cache hits rise by exactly the number of hit-leg
+  requests, while statement-cache misses and grounding-cache lookups do
+  not move.
 * **mixed read/DML heavy traffic** — reader and writer clients hammer a
   pool concurrently; every answer must equal a serial replay of the
   committed write order at the generation the answer reports, to 1e-9 —
@@ -41,12 +41,7 @@ from repro.serving import MayBMSServer, WorkerPool
 from repro.workloads import DirtyRelationSpec
 from repro.workloads.generators import dirty_key_relation
 
-from conftest import (
-    BENCH_SMOKE,
-    print_table,
-    scale6_multiprocess_parameters,
-    write_bench_json,
-)
+from conftest import print_table, scale6_multiprocess_parameters
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the worker pool requires os.fork")
@@ -121,14 +116,13 @@ def _timed_read_run(address, clients: int, reads: int) -> tuple[float, list]:
 
 
 class TestScale6ReadScaleOut:
-    def test_pool_reads_scale_over_single_process(self, benchmark):
+    def test_pool_reads_match_the_serial_answer(self):
         session = _build_session()
         expected = sorted((list(row) for row in
                            session.execute(READ_SQL, READ_PARAMS).rows()),
                           key=repr)
         reads = PARAMS["reads_per_client"]
         rows = []
-        throughput = {}
         # Baseline: the single-process threaded server, ONE client, no
         # result cache — the un-scaled-out serving stack of SCALE-5.
         server = MayBMSServer(session, port=0, result_cache_size=0)
@@ -138,9 +132,8 @@ class TestScale6ReadScaleOut:
             elapsed, answers = _timed_read_run(server.address, 1, reads)
         finally:
             server.shutdown()
-        throughput[0] = reads / elapsed
         rows.append(("1-process", 1, reads, round(elapsed * 1000.0, 1),
-                     round(throughput[0], 1)))
+                     round(reads / elapsed, 1)))
         assert all(sorted(answer, key=repr) == expected
                    for answer in answers)
         clients = PARAMS["clients"]
@@ -150,37 +143,19 @@ class TestScale6ReadScaleOut:
                             result_cache_size=0) as pool:
                 elapsed, answers = _timed_read_run(pool.address, clients,
                                                    reads)
-            throughput[workers] = (clients * reads) / elapsed
             rows.append((workers, clients, clients * reads,
                          round(elapsed * 1000.0, 1),
-                         round(throughput[workers], 1)))
+                         round(clients * reads / elapsed, 1)))
             # Exactness survives scale-out: every HTTP answer equals the
             # in-process serial answer.
             assert all(sorted(answer, key=repr) == expected
                        for answer in answers)
-        # Smoke mode (and <4 cores) cannot claim parallel speedup — the
-        # pool must merely not collapse under forwarding overhead.  The
-        # full sweep on real cores must deliver the scale-out headline.
-        for workers in PARAMS["workers"]:
-            assert throughput[workers] >= 0.25 * throughput[0], (
-                f"pool at {workers} worker(s) collapsed: "
-                f"{throughput[workers]:.1f}/s vs single-process "
-                f"{throughput[0]:.1f}/s")
-        if not BENCH_SMOKE and (os.cpu_count() or 1) >= 4 \
-                and 4 in PARAMS["workers"]:
-            assert throughput[4] >= 3.0 * throughput[0], (
-                f"4-worker pool must serve >=3x the single-process "
-                f"baseline ({throughput[4]:.1f}/s vs "
-                f"{throughput[0]:.1f}/s)")
         headers = ["workers", "clients", "reads", "wall ms", "reads/s"]
         print_table("SCALE-6: multi-process read scale-out", headers, rows)
-        write_bench_json("BENCH_SCALE6", headers, rows,
-                         query=READ_SQL, cpu_count=os.cpu_count())
-        benchmark(lambda: None)
 
 
 class TestScale6ResultCache:
-    def test_result_cache_hits_beat_cold_execution(self, benchmark):
+    def test_result_cache_hits_skip_execution(self):
         cold_samples: list[float] = []
         cold_rows = None
         server = None
@@ -225,16 +200,12 @@ class TestScale6ResultCache:
                     + stats["stats"]["ground_cache_misses"])
 
         assert groundings(after) == groundings(before)
-        cold = statistics.median(cold_samples)
-        hit = statistics.median(hit_samples)
-        speedup = cold / hit
-        rows = [("cold", len(cold_samples), round(cold, 3)),
-                ("hit", len(hit_samples), round(hit, 3))]
+        rows = [("cold", len(cold_samples),
+                 round(statistics.median(cold_samples), 3)),
+                ("hit", len(hit_samples),
+                 round(statistics.median(hit_samples), 3))]
         headers = ["leg", "samples", "median ms"]
         print_table("SCALE-6: result cache cold vs hit", headers, rows)
-        write_bench_json("BENCH_SCALE6_cache", headers, rows,
-                         query=READ_SQL, speedup=round(speedup, 1))
-        benchmark(lambda: None)
 
 
 class TestScale6MixedTraffic:

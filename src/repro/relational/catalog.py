@@ -8,7 +8,7 @@ views are re-evaluated against the current world-set.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..errors import DuplicateRelationError, UnknownRelationError
 from .relation import Relation
@@ -86,10 +86,6 @@ class Catalog:
         stored = relation.copy(name=name)
         self._tables[key] = stored
 
-    def replace(self, name: str, relation: Relation) -> None:
-        """Store *relation* under *name*, overwriting any existing relation."""
-        self.create(name, relation, replace=True)
-
     def drop(self, name: str, if_exists: bool = False) -> None:
         """Remove the relation called *name*."""
         key = name.lower()
@@ -107,10 +103,3 @@ class Catalog:
         for key, relation in self._tables.items():
             clone._tables[key] = relation.copy()
         return clone
-
-    def summary(self) -> dict[str, Any]:
-        """Return ``{name: (column names, row count)}`` for quick inspection."""
-        return {
-            relation.name or key: (relation.schema.names(), len(relation))
-            for key, relation in sorted(self._tables.items())
-        }

@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
@@ -433,10 +434,13 @@ class _Handler(BaseHTTPRequestHandler):
         if scale_out is not None:
             payload["scale_out"] = dict(scale_out)
         backend = session.backend
-        for name in ("stats", "confidence_stats", "aggregate_stats"):
-            counters = getattr(backend, name, None)
-            if counters is not None:
-                payload[name] = asdict(counters)
+        # One consistent reading of the three counter sets, under the lock
+        # concurrent reads merge them under (``WsdBackend._merge_stats``).
+        with getattr(backend, "_stats_lock", nullcontext()):
+            for name in ("stats", "confidence_stats", "aggregate_stats"):
+                counters = getattr(backend, name, None)
+                if counters is not None:
+                    payload[name] = asdict(counters)
         return payload
 
 

@@ -41,7 +41,7 @@ class TestMutation:
             catalog.create("r", Relation(["A"], []))
 
     def test_replace(self, catalog):
-        catalog.replace("R", Relation(["A"], [(9,)]))
+        catalog.create("R", Relation(["A"], [(9,)]), replace=True)
         assert catalog.get("R").rows == [(9,)]
 
     def test_drop(self, catalog):
@@ -70,8 +70,3 @@ class TestCopyAndEquality:
 
     def test_hash_stable_for_equal_catalogs(self, catalog):
         assert hash(catalog) == hash(catalog.copy())
-
-    def test_summary(self, catalog):
-        summary = catalog.summary()
-        assert summary["R"] == (["A"], 2)
-        assert summary["S"] == (["B"], 1)

@@ -67,6 +67,12 @@ class TestCleaningPipeline:
     def test_report_world_counts(self, db_cleaning):
         report = CleaningPipeline("R", "SSN", "TEL").run(db_cleaning)
         assert report.world_counts == [1, 4, 3]
+        assert set(db_cleaning.relation("S").rows) == \
+            set(cleaning_swap_relation_s().rows)
+        assert {world.relation("U").fingerprint()
+                for world in db_cleaning.world_set} == \
+            {relation.fingerprint()
+             for relation in figure7_expected_worlds().values()}
         assert report.final_world_count == 3
         assert "repair by key" in report.statements[1]
         assert len(report.summary().splitlines()) == 3

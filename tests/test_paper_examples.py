@@ -51,7 +51,10 @@ class TestExample23And24RepairByKey:
         for world in db_figure2.world_set:
             assert world.has_relation("R")
             assert world.has_relation("S")
-            assert len(world.relation("R")) == 5
+            r, s = world.relation("R"), world.relation("S")
+            assert len(r) == 5 and r.schema.names() == ["A", "B", "C", "D"]
+            assert len(s) == 3 and s.schema.names() == ["C", "E"]
+            assert ("a1", 10, "c1", 2) in r.rows and ("c4", "e2") in s.rows
 
     def test_weighted_repair_probabilities_match_figure2(self, db_figure2,
                                                          figure2_worlds):
@@ -84,6 +87,7 @@ class TestExample25Assert:
             "assert not exists(select * from I where C = 'c1');")
         rounded = sorted(round(w.probability, 2) for w in db_figure2.world_set)
         assert rounded == [0.44, 0.56]
+        assert sum(w.probability for w in db_figure2.world_set) == pytest.approx(1.0)
 
     def test_plain_select_with_assert_does_not_change_state(self, db_figure2):
         result = db_figure2.execute(
@@ -112,6 +116,8 @@ class TestExample26And27ChoiceOf:
         probabilities = sorted(round(answer.probability, 2)
                                for answer in result.world_answers)
         assert probabilities == [0.26, 0.35, 0.39]
+        assert sum(answer.probability
+                   for answer in result.world_answers) == pytest.approx(1.0)
 
 
 class TestExample28PossibleSum:
@@ -172,6 +178,9 @@ class TestExample210Conf:
         assert confidences[("a1", 10, "c1")] == pytest.approx(2 / 8)
         assert confidences[("a1", 15, "c2")] == pytest.approx(6 / 8)
         assert confidences[("a3", 20, "c5")] == pytest.approx(1.0)
+        # A repeat (statement-cache hit) answers the same.
+        assert db_figure2.execute("select conf, A, B, C from I;").rows() == \
+            result.rows()
 
     def test_possible_and_certain_relate_to_conf(self, db_figure2):
         """A tuple is possible iff conf > 0 and certain iff conf = 1."""

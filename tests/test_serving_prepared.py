@@ -13,6 +13,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 
@@ -356,6 +357,26 @@ class TestServer:
             self._post(server, "select conf from I where B > ?;", (12,))
         stats = self._get(server, "/stats")
         assert stats["statement_cache"]["hits"] >= 2
+
+    def test_stats_reads_counters_under_the_merge_lock(self, server):
+        """``/stats`` reads the three counter sets under the lock concurrent
+        reads merge them under, so one reply never mixes counters from
+        before and after a merge."""
+        self._post(server, "select conf from I where B > ?;", (12,))
+        backend = server.session.backend
+        replies = []
+        reader = threading.Thread(
+            target=lambda: replies.append(self._get(server, "/stats")))
+        with backend._stats_lock:
+            reader.start()
+            # A bounded join can only miss a reply that skipped the lock,
+            # never fail a correct server.
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and not replies
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        for name in ("stats", "confidence_stats", "aggregate_stats"):
+            assert replies[0][name] == asdict(getattr(backend, name))
 
     def test_health(self, server):
         payload = self._get(server, "/health")

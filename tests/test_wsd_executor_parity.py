@@ -4,7 +4,9 @@ Every query in the paper-example corpus (the queries exercised by
 ``tests/test_paper_examples.py``, plus joins, views, derived tables and
 DISTINCT) is executed through both ``MayBMS(backend="explicit")`` and
 ``MayBMS(backend="wsd")`` on the same inputs, and the answers — rows,
-confidences and per-world answer distributions — must be identical.
+confidences and per-world answer distributions — must be identical.  The
+Section 3 demonstrations (the whale world-set of Figure 3 and the cleaning
+flow of Figures 5-7) are run through both backends the same way.
 
 While the WSD backend executes, explicit world enumeration
 (:meth:`WorldSetDecomposition.to_worldset` / ``iter_assignments``) is patched
@@ -25,8 +27,14 @@ from unittest import mock
 import pytest
 
 from repro import MayBMS
-from repro.datasets import figure1_database
-from repro.wsd import WorldSetDecomposition
+from repro.cleaning import CleaningPipeline
+from repro.datasets import (
+    cleaning_relation_r,
+    figure1_database,
+    figure3_whale_worlds,
+)
+from repro.tracking import attack_possibility_sql, protective_cow_view_sql
+from repro.wsd import WorldSetDecomposition, from_worldset, normalize
 from repro.wsd.grouping import GroupingUnsupportedError
 from repro.wsd.setops import SetOpBudgetExceededError
 
@@ -177,6 +185,44 @@ GROUPING_CORPUS = [
 
 QUERY_CORPUS = QUERY_CORPUS + AGGREGATE_CORPUS + GROUPING_CORPUS
 
+#: Section 3.1: the whale-tracking queries over the six worlds of Figure 3,
+#: including Figure 4's group-worlds-by shapes.
+WHALE_CORPUS = [
+    attack_possibility_sql(),
+    "select 'yes' from I where Id=1 and Pos='b';",
+    "select possible 'yes' from I where Id=1 and Pos='a';",
+    "select certain * from I;",
+    "select possible * from I;",
+    "select conf, Id, Pos from I;",
+    "select possible i2.Gender as G2, i3.Gender as G3 from I i2, I i3 "
+    "where i2.Id = 2 and i3.Id = 3 "
+    "group worlds by (select Pos from I where Id = 2);",
+    "select certain i3.Gender as G3 from I i3 where i3.Id = 3 "
+    "group worlds by (select Pos from I where Id = 2);",
+]
+
+#: Queries over the paper's view ``Valid`` (``assert``, drops worlds) or
+#: ``Valid'`` (``where exists``, keeps them), both named ``Valid`` here.
+WHALE_VIEW_CORPUS = [
+    (True, "select possible 'yes' from Valid where Id=1 and Pos='b';"),
+    (True, "select certain * from Valid;"),
+    (True, "select possible * from Valid;"),
+    (False, "select possible 'yes' from Valid where Id=1 and Pos='b';"),
+    (False, "select certain * from Valid;"),
+]
+
+#: Section 3.2: the data-cleaning flow of Figures 5-7 — swap candidates S,
+#: their repair T, and the worlds U satisfying the functional dependency.
+CLEANING_CORPUS = [
+    "select possible * from S;",
+    "select * from T;",
+    "select conf, SSN', TEL' from T;",
+    "select * from U;",
+    "select possible SSN', TEL' from U;",
+    "select certain SSN', TEL' from U;",
+    "select conf, SSN', TEL' from U;",
+]
+
 
 @contextlib.contextmanager
 def force_guarded_grouping():
@@ -217,6 +263,25 @@ def build_sessions(setup, budgets=None):
     explicit = MayBMS(figure1_database(), backend="explicit")
     wsd = MayBMS(figure1_database(), backend="wsd", budgets=budgets)
     for statement in setup:
+        explicit.execute(statement)
+        wsd.execute(statement)
+    return explicit, wsd
+
+
+def whale_sessions():
+    """Both backends holding the Figure 3 world-set (relation I)."""
+    explicit = MayBMS(backend="explicit")
+    explicit.world_set = figure3_whale_worlds()
+    wsd = MayBMS(backend="wsd")
+    wsd.decomposition = normalize(from_worldset(figure3_whale_worlds(), "I"))
+    return explicit, wsd
+
+
+def cleaning_sessions():
+    """Both backends after the cleaning pipeline of Figures 5-7."""
+    explicit = MayBMS({"R": cleaning_relation_r()}, backend="explicit")
+    wsd = MayBMS({"R": cleaning_relation_r()}, backend="wsd")
+    for statement in CleaningPipeline("R", "SSN", "TEL").statements():
         explicit.execute(statement)
         wsd.execute(statement)
     return explicit, wsd
@@ -275,11 +340,19 @@ def wsd_distribution(result):
          for world in worlds])
 
 
-@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
-                         ids=["weighted", "unweighted"])
-@pytest.mark.parametrize("query", QUERY_CORPUS)
-def test_backends_agree(setup, query):
-    explicit, wsd = build_sessions(setup)
+def assert_answers_agree(actual, expected, query):
+    if expected.is_rows():
+        assert actual.is_rows(), f"result kind diverged for: {query}"
+        assert canonical_rows(actual.rows()) == canonical_rows(expected.rows())
+    else:
+        assert expected.is_world_rows()
+        assert_distributions_equal(wsd_distribution(actual),
+                                   explicit_distribution(expected), query)
+
+
+def assert_native_answer_agrees(explicit, wsd, query):
+    """*query* is answered on the decomposition — no world enumeration, no
+    counted fallback — exactly as the explicit backend answers it."""
     expected = explicit.execute(query)
     with forbid_world_enumeration():
         actual = wsd.execute(query)
@@ -291,13 +364,35 @@ def test_backends_agree(setup, query):
         f"aggregate engine fell back to joint enumeration: {query}"
     assert wsd.backend.stats.group_fallbacks == 0, \
         f"grouping/set-op engine fell back to joint enumeration: {query}"
-    if expected.is_rows():
-        assert actual.is_rows(), f"result kind diverged for: {query}"
-        assert canonical_rows(actual.rows()) == canonical_rows(expected.rows())
-    else:
-        assert expected.is_world_rows()
-        assert_distributions_equal(wsd_distribution(actual),
-                                   explicit_distribution(expected), query)
+    assert_answers_agree(actual, expected, query)
+
+
+@pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
+                         ids=["weighted", "unweighted"])
+@pytest.mark.parametrize("query", QUERY_CORPUS)
+def test_backends_agree(setup, query):
+    assert_native_answer_agrees(*build_sessions(setup), query)
+
+
+@pytest.mark.parametrize("query", WHALE_CORPUS)
+def test_whale_scenario_backends_agree(query):
+    assert_native_answer_agrees(*whale_sessions(), query)
+
+
+@pytest.mark.parametrize("drop_worlds, query", WHALE_VIEW_CORPUS)
+def test_whale_views_backends_agree(drop_worlds, query):
+    """The Valid / Valid' views agree across backends; the wsd backend may
+    answer them through its counted world-materialising fallback."""
+    explicit, wsd = whale_sessions()
+    view = protective_cow_view_sql("Valid", drop_worlds=drop_worlds)
+    explicit.execute(view)
+    wsd.execute(view)
+    assert_answers_agree(wsd.execute(query), explicit.execute(query), query)
+
+
+@pytest.mark.parametrize("query", CLEANING_CORPUS)
+def test_cleaning_scenario_backends_agree(query):
+    assert_native_answer_agrees(*cleaning_sessions(), query)
 
 
 @pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
@@ -336,15 +431,6 @@ def test_grouping_corpus_is_native(setup, query):
         f"grouping/set-op engine fell back on: {query}"
     assert stats.fallback == 0, \
         f"query fell back to world materialisation: {query}"
-
-
-def assert_answers_agree(actual, expected, query):
-    if expected.is_rows():
-        assert actual.is_rows(), f"result kind diverged for: {query}"
-        assert canonical_rows(actual.rows()) == canonical_rows(expected.rows())
-    else:
-        assert_distributions_equal(wsd_distribution(actual),
-                                   explicit_distribution(expected), query)
 
 
 @pytest.mark.parametrize("setup", [WEIGHTED_SETUP, UNWEIGHTED_SETUP],
