@@ -43,8 +43,8 @@ def scale1_grounding_parameters() -> dict:
     ``groups * options`` ground tuples flow through every filter /
     projection batch); ``options`` sizes the per-group alternatives;
     ``repetitions`` sizes the per-point timing samples.  The sweep times
-    the same prepared symbolic query with the columnar batch engine on and
-    off (``db.backend.columnar``) and prints both latencies.
+    the same prepared symbolic query with the columnar batch engine and
+    with its row-at-a-time loops forced, and prints both latencies.
     """
     if BENCH_SMOKE:
         return {"groups": (30, 60), "options": 4, "repetitions": 15}

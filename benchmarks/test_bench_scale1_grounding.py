@@ -6,8 +6,9 @@ the symbolic filter / projection loops that touch every ground tuple of
 every query.  The same prepared, grounding-heavy symbolic query (selection
 conjuncts + projection over the repaired relation, ground cache warm, so
 per-execution work is exactly the hot loops) is timed twice per sweep
-point — with the columnar batch engine (``db.backend.columnar``, the
-default) and with the row-at-a-time interpreted loops it replaces.
+point — with the columnar batch engine (the executor's only mode) and with
+the row-at-a-time interpreted loops it replaces, forced by refusing to
+compile any batch (:func:`force_rowwise`).
 
 Asserted:
 
@@ -23,8 +24,10 @@ are not a pass/fail signal, the work counters above are.
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import time
+from unittest import mock
 
 from repro import MayBMS
 from repro.workloads import DirtyRelationSpec
@@ -42,6 +45,18 @@ REPAIR_STATEMENT = ("create table I as "
 #: ``groups * options`` ground tuples (conf-free so condition probability
 #: work cannot dilute what the series measures).
 GROUNDING_QUERY = "select possible K, P1 from I where P1 > ? and K < ?;"
+
+
+@contextlib.contextmanager
+def force_rowwise():
+    """Refuse to compile any columnar batch, so the executor runs its
+    interpreted row-at-a-time loops (each batch counts a rowwise
+    fallback)."""
+    with mock.patch("repro.wsd.execute.compile_predicate",
+                    lambda *args: None), \
+            mock.patch("repro.wsd.execute.compile_projection",
+                       lambda *args: None):
+        yield
 
 
 def _build_session(groups: int) -> MayBMS:
@@ -81,15 +96,14 @@ class TestScale1GroundingColumnar:
                 "every batch of this workload must compile columnar — a "
                 "rowwise fallback would time the interpreted loop instead")
 
-            db.backend.columnar = False
-            try:
+            with force_rowwise():
                 rowwise_answer = sorted(prepared.execute(arguments).rows(),
                                         key=repr)
                 assert rowwise_answer == columnar_answer, (
                     "columnar and row-at-a-time evaluation must agree")
+                assert db.backend.stats.rowwise_fallbacks > \
+                    fallbacks_before, "the row-at-a-time leg must run"
                 rowwise_ms = _median_latency_ms(prepared, arguments)
-            finally:
-                db.backend.columnar = True
             speedup = rowwise_ms / columnar_ms
             rows.append((groups, PARAMS["options"],
                          round(columnar_ms, 3), round(rowwise_ms, 3),
@@ -98,15 +112,3 @@ class TestScale1GroundingColumnar:
                    "speedup"]
         print_table("SCALE-1: columnar vs row-at-a-time grounding loops",
                     headers, rows)
-
-    def test_rowwise_mode_counts_no_columnar_batches(self):
-        """The baseline leg is honest: with the engine off, nothing is
-        counted columnar and nothing counts as a fallback either."""
-        db = _build_session(PARAMS["groups"][0])
-        db.backend.columnar = False
-        batches_before = db.backend.stats.columnar_batches
-        fallbacks_before = db.backend.stats.rowwise_fallbacks
-        prepared = db.prepare(GROUNDING_QUERY)
-        prepared.execute((2, max(PARAMS["groups"][0] // 2, 1)))
-        assert db.backend.stats.columnar_batches == batches_before
-        assert db.backend.stats.rowwise_fallbacks == fallbacks_before

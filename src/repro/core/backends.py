@@ -19,6 +19,7 @@ the differential test suite (``tests/test_wsd_executor_parity.py``) does.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Any, Iterable, Sequence
 
@@ -177,6 +178,30 @@ def _reorder_row(schema: Schema, row: tuple,
     return tuple(by_name.get(column.name.lower()) for column in schema)
 
 
+def _explicit_result(outcome: WorldQueryResult) -> StatementResult:
+    """The statement result of an explicit per-world query evaluation (the
+    explicit backend's answers and the wsd backend's guarded fallback)."""
+    if outcome.collected is not None:
+        return StatementResult(kind="rows", relation=outcome.collected,
+                               world_set=outcome.world_set)
+    answers = [WorldAnswer(world.label, world.probability, answer)
+               for world, answer in zip(outcome.world_set.worlds,
+                                        outcome.answers)]
+    return StatementResult(kind="world_rows", world_answers=answers,
+                           world_set=outcome.world_set)
+
+
+def _merge_counters(total: Any, part: Any) -> None:
+    """Accumulate the counter dataclass *part* into *total*: every field
+    sums, except fields whose metadata marks them ``merge="max"``."""
+    for field in dataclasses.fields(total):
+        mine = getattr(total, field.name)
+        theirs = getattr(part, field.name)
+        setattr(total, field.name,
+                max(mine, theirs) if field.metadata.get("merge") == "max"
+                else mine + theirs)
+
+
 def _dml_result(verb: str, counts: list[int]) -> StatementResult:
     """An UPDATE / DELETE result from the per-world affected-row counts.
 
@@ -323,15 +348,8 @@ class ExplicitBackend(ExecutionBackend):
         return Executor(self.views)
 
     def _execute_query(self, query: Query) -> StatementResult:
-        outcome = self._executor().evaluate_query(query, self.world_set)
-        if outcome.collected is not None:
-            return StatementResult(kind="rows", relation=outcome.collected,
-                                   world_set=outcome.world_set)
-        answers = [WorldAnswer(world.label, world.probability, answer)
-                   for world, answer in zip(outcome.world_set.worlds,
-                                            outcome.answers)]
-        return StatementResult(kind="world_rows", world_answers=answers,
-                               world_set=outcome.world_set)
+        return _explicit_result(
+            self._executor().evaluate_query(query, self.world_set))
 
     def _execute_create_table_as(self, statement: CreateTableAs
                                  ) -> StatementResult:
@@ -580,10 +598,6 @@ class WsdBackend(ExecutionBackend):
         #: cache's internal mutex.
         self._ground_cache: dict = {}
         self._ground_lock = threading.Lock()
-        #: Whether executors evaluate the symbolic hot loops over columnar
-        #: batches (:mod:`repro.wsd.columnar`); benchmarks flip this off to
-        #: measure the row-at-a-time baseline.
-        self.columnar = True
         #: Serialises stats merging: concurrent prepared reads finish in any
         #: order and their counters accumulate under this mutex (the answers
         #: themselves are protected by the session's read/write lock).
@@ -700,7 +714,6 @@ class WsdBackend(ExecutionBackend):
         return WSDExecutor(self.decomposition, self.views,
                            ground_cache=self._ground_cache,
                            ground_lock=self._ground_lock,
-                           columnar=self.columnar,
                            plan_cache=plan_cache,
                            budgets=self.budgets,
                            degradation=options.resolve_degradation(
@@ -709,9 +722,9 @@ class WsdBackend(ExecutionBackend):
 
     def _merge_stats(self, executor: WSDExecutor) -> None:
         with self._stats_lock:
-            self.stats.merge(executor.stats)
-            self.confidence_stats.merge(executor.confidence_stats)
-            self.aggregate_stats.merge(executor.aggregate_stats)
+            _merge_counters(self.stats, executor.stats)
+            _merge_counters(self.confidence_stats, executor.confidence_stats)
+            _merge_counters(self.aggregate_stats, executor.aggregate_stats)
 
     def _execute_query(self, query: Query,
                        plan_cache: SharedPlanCache | None = None,
@@ -741,15 +754,7 @@ class WsdBackend(ExecutionBackend):
                                    approximate=approximate,
                                    approximation=approximation)
         # Guarded fallback to the explicit engine.
-        outcome = result.explicit
-        if outcome.collected is not None:
-            return StatementResult(kind="rows", relation=outcome.collected,
-                                   world_set=outcome.world_set)
-        answers = [WorldAnswer(world.label, world.probability, answer)
-                   for world, answer in zip(outcome.world_set.worlds,
-                                            outcome.answers)]
-        return StatementResult(kind="world_rows", world_answers=answers,
-                               world_set=outcome.world_set)
+        return _explicit_result(result.explicit)
 
     def _execute_create_table_as(self, statement: CreateTableAs,
                                  plan_cache: SharedPlanCache | None = None,

@@ -107,19 +107,13 @@ class AggregateStats:
     enumerated, ``convolutions`` the pairwise distribution convolutions, and
     ``peak_states`` the largest distribution ever materialised — the measure
     that stays pseudo-polynomial where joint enumeration is exponential.
+    Counters sum when merged; ``peak_states`` is marked to take the maximum.
     """
 
     queries: int = 0
     clusters: int = 0
     convolutions: int = 0
-    peak_states: int = 0
-
-    def merge(self, other: "AggregateStats") -> None:
-        """Accumulate *other* into this counter set."""
-        self.queries += other.queries
-        self.clusters += other.clusters
-        self.convolutions += other.convolutions
-        self.peak_states = max(self.peak_states, other.peak_states)
+    peak_states: int = dataclass_field(default=0, metadata={"merge": "max"})
 
 
 # -- the per-aggregate state algebra ------------------------------------------------------

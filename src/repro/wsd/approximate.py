@@ -438,7 +438,10 @@ class AnytimeSampler:
         world sample of weight ``1 / count``.  The deadline is checked
         cooperatively between samples.
         """
-        rng = self._rng(("joints", tuple(involved), key))
+        # The int tag keeps this stream apart from the DNF streams (keyed on
+        # clause tuples) and, unlike a string tag, hashes alike in every
+        # process.
+        rng = self._rng((-1, tuple(involved), key))
         for drawn in range(count):
             if drawn % 64 == 0:
                 self.budget.check_deadline(

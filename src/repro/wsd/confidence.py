@@ -86,7 +86,9 @@ class ConfidenceStats:
     rule counters record which d-tree rules fired inside them.
     ``enumeration_fallbacks`` counts evaluations that gave up on the d-tree
     (budget exceeded) and enumerated the touched components jointly — the
-    nightly bench smoke asserts this stays zero on hierarchical workloads.
+    SCALE-2 series (``benchmarks/test_bench_scale2_correlated_conf.py``)
+    asserts this stays zero on hierarchical workloads, and ``bench/run.py``
+    reports it per workload.
     """
 
     closed_form: int = 0
@@ -96,16 +98,6 @@ class ConfidenceStats:
     shannon_expansions: int = 0
     memo_hits: int = 0
     enumeration_fallbacks: int = 0
-
-    def merge(self, other: "ConfidenceStats") -> None:
-        """Accumulate *other* into this counter set."""
-        self.closed_form += other.closed_form
-        self.dtree += other.dtree
-        self.independence_partitions += other.independence_partitions
-        self.exclusive_sums += other.exclusive_sums
-        self.shannon_expansions += other.shannon_expansions
-        self.memo_hits += other.memo_hits
-        self.enumeration_fallbacks += other.enumeration_fallbacks
 
 
 def normalise_clauses(raw: Iterable[Iterable[Atom]],

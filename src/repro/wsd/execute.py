@@ -8,7 +8,7 @@ projection / ``possible`` / ``certain`` / ``conf`` and template-level
 and therefore scales with the size of the representation, not with the number
 of represented worlds.
 
-Three evaluation strategies, ordered from cheapest to most expensive:
+Evaluation strategies, ordered from cheapest to most expensive:
 
 1. **Symbolic** — selection, projection and products without aggregates or
    subqueries.  Every template tuple is *grounded* into one concrete tuple
@@ -21,25 +21,25 @@ Three evaluation strategies, ordered from cheapest to most expensive:
    coverage and probability of disjunctions of conditions, touching only the
    components a result row actually depends on.
 
-2. **Component-joint** — aggregates, subqueries, GROUP BY / HAVING and
-   ORDER BY / LIMIT genuinely need per-world answers.  Instead of
-   materialising worlds, only the components touching the *referenced
-   relations* are enumerated jointly (guarded by the enumeration limit);
-   each joint alternative instantiates just those relations and runs the
-   plain per-world plan.  Components the query does not mention are never
-   enumerated.
+2. **Native engines** — aggregates, GROUP BY / HAVING and scalar aggregate
+   subqueries read per-answer masses off a decomposed convolution
+   (:mod:`repro.wsd.aggregate`); ``group worlds by`` compiles the grouping
+   expression to the same convolution (:mod:`repro.wsd.grouping`); UNION /
+   INTERSECT / EXCEPT combine condition-annotated entries directly
+   (:mod:`repro.wsd.setops`: presence-condition disjunction / conjunction /
+   and-not, bag and set semantics).
 
-3. **World grouping / set operations** — ``group worlds by`` partitions
-   worlds by the answer of a subquery; the native engine
-   (:mod:`repro.wsd.grouping`) compiles the grouping expression to
-   aggregate-style contributions over (component, alternative-set) atoms
-   and reads group masses and conditioned per-group answers off one
-   decomposed convolution.  UNION / INTERSECT / EXCEPT
-   (:mod:`repro.wsd.setops`) combine condition-annotated entries directly
-   (presence-condition disjunction / conjunction / and-not, bag and set
-   semantics).  Shapes neither engine covers drop to a *guarded*
-   component-joint grouping — still decomposition-local, still counted:
-   :attr:`WsdExecutionStats.group_fallbacks` tracks every such escape.
+3. **The guarded per-joint path** — shapes the engines above do not cover
+   (ORDER BY / LIMIT mains, non-aggregate subqueries, budget overruns)
+   evaluate through one primitive, :meth:`WSDExecutor._iter_query_joints`.
+   Only the components touching the *referenced relations* are enumerated
+   jointly (guarded by the enumeration limit; sampled under
+   ``degradation="anytime"`` where the answer is a weight-based
+   distribution); each joint alternative instantiates each referenced
+   relation once and runs the plain per-world plan.  Components the query
+   does not mention are never enumerated.  Every escape of a native engine
+   to this path is counted (:attr:`WsdExecutionStats.aggregate_fallbacks`,
+   :attr:`WsdExecutionStats.group_fallbacks`).
 
 4. **Fallback** — only FROM clauses that multiply worlds data-dependently
    (repairing an uncertain relation) still decompose to the explicit
@@ -98,7 +98,6 @@ from .aggregate import (
     Contribution,
     DecomposedAggregator,
     EvalSlots,
-    analyse_aggregate_query,
     plan_contributions,
     _ExistsSpec,
 )
@@ -263,20 +262,21 @@ class WsdExecutionStats:
     ``aggregate`` counts queries answered by the decomposed (convolution)
     aggregate engine; ``aggregate_fallbacks`` counts aggregate-shaped queries
     whose state space exceeded the engine's budget and dropped to the guarded
-    component-joint enumeration — CI asserts this stays zero on factorising
-    workloads.  ``grouping`` counts ``group worlds by`` queries answered by
-    the native grouping engine and ``setops`` compound queries combined
-    natively; ``group_fallbacks`` counts the grouping / compound shapes the
-    native engines could not answer (budget overruns, ORDER BY / LIMIT
-    compounds, non-compilable grouping mains) that escaped to the guarded
-    component-joint grouping — CI asserts this stays zero on the supported
-    classes.  ``ground_cache_hits`` / ``ground_cache_misses`` account the
-    memoised symbolic grounding (per relation, keyed on the relation's
-    version) and ``ground_cache_evictions`` the superseded base groundings
-    a miss dropped from the shared cache.  ``approximate_answers`` counts
-    statements whose answer involved the anytime Monte-Carlo tier (once per
-    executor, i.e. per statement) and ``sample_counts`` the total samples
-    those estimates drew.
+    per-joint path — CI asserts this stays zero on factorising workloads.
+    ``component_joint`` counts evaluations of the guarded per-joint path.
+    ``grouping`` counts ``group worlds by`` queries answered by the native
+    grouping engine and ``setops`` compound queries combined natively;
+    ``group_fallbacks`` counts the grouping / compound shapes the native
+    engines could not answer (budget overruns, ORDER BY / LIMIT compounds,
+    non-compilable grouping mains) that escaped to the guarded per-joint
+    path — CI asserts this stays zero on the supported classes.
+    ``ground_cache_hits`` / ``ground_cache_misses`` account the memoised
+    symbolic grounding (per relation, keyed on the relation's version) and
+    ``ground_cache_evictions`` the superseded base groundings a miss dropped
+    from the shared cache.  ``approximate_answers`` counts statements whose
+    answer involved the anytime Monte-Carlo tier (once per executor, i.e.
+    per statement) and ``sample_counts`` the total samples those estimates
+    drew.
     ``columnar_batches`` counts filter / projection / join-key batches the
     columnar engine (:mod:`repro.wsd.columnar`) evaluated as parallel
     column arrays; ``rowwise_fallbacks`` counts batches that kept (or were
@@ -300,24 +300,6 @@ class WsdExecutionStats:
     sample_counts: int = 0
     columnar_batches: int = 0
     rowwise_fallbacks: int = 0
-
-    def merge(self, other: "WsdExecutionStats") -> None:
-        """Accumulate *other* into this counter set."""
-        self.symbolic += other.symbolic
-        self.aggregate += other.aggregate
-        self.grouping += other.grouping
-        self.setops += other.setops
-        self.component_joint += other.component_joint
-        self.fallback += other.fallback
-        self.aggregate_fallbacks += other.aggregate_fallbacks
-        self.group_fallbacks += other.group_fallbacks
-        self.ground_cache_hits += other.ground_cache_hits
-        self.ground_cache_misses += other.ground_cache_misses
-        self.ground_cache_evictions += other.ground_cache_evictions
-        self.approximate_answers += other.approximate_answers
-        self.sample_counts += other.sample_counts
-        self.columnar_batches += other.columnar_batches
-        self.rowwise_fallbacks += other.rowwise_fallbacks
 
 
 @dataclass
@@ -430,8 +412,7 @@ class WSDExecutor:
                  plan_cache: SharedPlanCache | None = None,
                  budgets: ResourceBudgets | None = None,
                  degradation: str = "strict",
-                 anytime: AnytimeBudget | None = None,
-                 columnar: bool = True) -> None:
+                 anytime: AnytimeBudget | None = None) -> None:
         if degradation not in ("strict", "anytime"):
             raise AnalysisError(
                 f"unknown degradation mode {degradation!r} "
@@ -480,10 +461,6 @@ class WSDExecutor:
         #: serves every thread and every generation.
         self._plan_cache: SharedPlanCache = (
             plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE)
-        #: Whether ``_filter`` / ``_project`` / ``_hash_join`` evaluate
-        #: expressions over columnar batches (:mod:`repro.wsd.columnar`);
-        #: benchmarks flip this off to measure the row-at-a-time baseline.
-        self.columnar = columnar
         self._transient_counter = 0
 
     def aggregate_plan(self, query: SelectQuery) -> Optional[AggregatePlan]:
@@ -570,7 +547,11 @@ class WSDExecutor:
             return self._install_entries(working, name, result.relation.schema,
                                          entries, keep="session")
         if self._needs_component_joint(query):
-            schema, entries = self._component_joint_entries(working, query, items)
+            # Each joint alternative's answer under its pinned condition.
+            core = _strip_world_clauses(query, items=items)
+            schema, entries = _entries_from_joints(
+                (pinned, answers[0]) for pinned, answers, _
+                in self._iter_query_joints(working, core))
         else:
             schema, entries = self._symbolic_entries(working, query, items)
         return self._install_entries(working, name, schema, entries,
@@ -603,14 +584,14 @@ class WSDExecutor:
         if view_query is not None:
             return self._resolve_query_source(working, view_query, alias,
                                               ref.repair, ref.choice)
-        name = self._canonical_name(working, ref.name)
+        name = canonical_relation_name(working.template, ref.name)
         if ref.repair is None and ref.choice is None:
             return working, (name, alias)
-        if not self._relation_is_certain(working, name):
+        if not relation_is_certain(working.template, name):
             # Repairing / partitioning an uncertain relation multiplies
             # worlds in a data-dependent way; decompose-then-enumerate.
             raise _FallbackNeeded
-        relation = self._materialise_certain(working, name)
+        relation = materialise_certain(working.template, name)
         return self._apply_decorations(working, relation, ref.repair,
                                        ref.choice, alias)
 
@@ -794,7 +775,7 @@ class WSDExecutor:
     def _batch_keys(self, source: SymbolicRelation,
                     exprs: list[Expression]) -> list[tuple]:
         """One key tuple per row of *source*, batch-evaluated when possible."""
-        if self.columnar and source.tuples:
+        if source.tuples:
             batch = compile_projection(exprs, source.schema)
             if batch is not None:
                 try:
@@ -978,7 +959,7 @@ class WSDExecutor:
         # error semantics match the interpreter exactly (full-batch AND/OR
         # does not short-circuit, so it can reach operands the interpreted
         # loop would have skipped).
-        if self.columnar and source.tuples:
+        if source.tuples:
             mask = compile_predicate(predicate, source.schema)
             if mask is not None:
                 try:
@@ -1033,7 +1014,7 @@ class WSDExecutor:
         # Columnar first: evaluate every output expression over the whole
         # batch (one column pass each), then zip the rows back against the
         # per-tuple conditions.
-        if self.columnar and source.tuples:
+        if source.tuples:
             batch = compile_projection(
                 [output.expression for output in outputs], source.schema)
             if batch is not None:
@@ -1061,48 +1042,23 @@ class WSDExecutor:
                        query: SelectQuery, schema: Schema,
                        bag: list[tuple[tuple, list[Condition]]]
                        ) -> WSDQueryResult:
-        if not query.select_items:
-            conditions = [condition for _, conds in bag for condition in conds]
-            if conditions:
-                mass, approximation = self._condition_estimate(working,
-                                                               conditions)
-            else:
-                mass, approximation = 0.0, None
-            if approximation is None:
-                return WSDQueryResult(
-                    kind="rows",
-                    relation=_make_relation(Schema([Column("conf")]),
-                                            [(mass,)]))
-            return WSDQueryResult(
-                kind="rows",
-                relation=_make_relation(
-                    Schema([Column("conf"), Column("conf_low"),
-                            Column("conf_high")]),
-                    [(mass, approximation.low, approximation.high)]))
-        merged = _merge_entries([(row, condition)
-                                 for row, conds in bag for condition in conds])
-        estimates = []
-        any_approximate = False
-        for row, conds in merged.items():
-            mass, approximation = self._condition_estimate(working, conds)
-            if approximation is not None:
-                any_approximate = True
-            estimates.append((row, mass, approximation))
-        if not any_approximate:
-            out_schema = Schema(list(schema.columns) + [Column("conf")])
-            rows = [row + (mass,) for row, mass, _ in estimates]
+        if query.select_items:
+            columns = list(schema.columns)
+            merged = _merge_entries((row, condition) for row, conds in bag
+                                    for condition in conds)
         else:
-            # A mixed answer (some rows exact, some sampled) reports the
-            # interval for every row; exact rows collapse to a point.
-            out_schema = Schema(list(schema.columns)
-                                + [Column("conf"), Column("conf_low"),
-                                   Column("conf_high")])
-            rows = [row + ((mass, mass, mass) if approximation is None
-                           else (mass, approximation.low,
-                                 approximation.high))
-                    for row, mass, approximation in estimates]
+            # One answer-nonempty mass over every answer row's conditions.
+            columns = []
+            merged = {(): [condition for _, conds in bag
+                           for condition in conds]}
+        estimates = []
+        for row, conditions in merged.items():
+            mass, approximation = self._condition_estimate(working, conditions)
+            bounds = (None if approximation is None
+                      else (approximation.low, approximation.high))
+            estimates.append((row, mass, bounds))
         return WSDQueryResult(kind="rows",
-                              relation=_make_relation(out_schema, rows))
+                              relation=_conf_relation(columns, estimates))
 
     # -- condition disjunctions --------------------------------------------------------------
 
@@ -1402,21 +1358,15 @@ class WSDExecutor:
         slots = EvalSlots()
         if query.conf:
             confidence: dict[tuple, float] = {}
-            order: list[tuple] = []
             for key in key_order:
                 for state, mass in per_key[key].items():
                     if not plan.state_included(key, state, slots=slots):
                         continue
                     row = plan.output_row(key, state, slots=slots)
-                    if row not in confidence:
-                        confidence[row] = 0.0
-                        order.append(row)
-                    confidence[row] += mass
-            schema = Schema([Column(name) for name in names]
-                            + [Column("conf")])
-            rows = [row + (confidence[row],) for row in order]
-            return WSDQueryResult(kind="rows",
-                                  relation=_make_relation(schema, rows))
+                    confidence[row] = confidence.get(row, 0.0) + mass
+            return WSDQueryResult(kind="rows", relation=_conf_relation(
+                [Column(name) for name in names],
+                [(row, mass, None) for row, mass in confidence.items()]))
         schema = Schema([Column(name) for name in names])
         rows: list[tuple] = []
         if query.quantifier == "possible":
@@ -1451,20 +1401,12 @@ class WSDExecutor:
         """Plain aggregate queries: the distribution over whole answers."""
         schema = Schema([Column(name) for name in plan.output_names()])
         slots = EvalSlots()
-        order_keys: list[tuple] = []
-        grouped: dict[tuple, tuple[float, Relation]] = {}
-        for mapping, mass in joint.items():
-            rows = plan.answer_rows(dict(mapping), slots=slots)
-            relation = _make_relation(schema, rows)
-            fingerprint = (tuple(schema.names()), relation.fingerprint())
-            if fingerprint not in grouped:
-                order_keys.append(fingerprint)
-                grouped[fingerprint] = (mass, relation)
-            else:
-                total, representative = grouped[fingerprint]
-                grouped[fingerprint] = (total + mass, representative)
-        distribution = [grouped[fingerprint] for fingerprint in order_keys]
-        return WSDQueryResult(kind="distribution", distribution=distribution)
+        return WSDQueryResult(
+            kind="distribution",
+            distribution=_answer_distribution(
+                (mass, _make_relation(
+                    schema, plan.answer_rows(dict(mapping), slots=slots)))
+                for mapping, mass in joint.items()))
 
     def _aggregate_conf_where(self, working: WorldSetDecomposition,
                               query: SelectQuery,
@@ -1537,9 +1479,8 @@ class WSDExecutor:
                                       slots=slots) is True
                    for predicate in plan.world_predicates):
                 mass += weight
-        return WSDQueryResult(
-            kind="rows",
-            relation=_make_relation(Schema([Column("conf")]), [(mass,)]))
+        return WSDQueryResult(kind="rows",
+                              relation=_conf_relation([], [((), mass, None)]))
 
     # -- compound queries (UNION / INTERSECT / EXCEPT) -----------------------------------------
 
@@ -1557,11 +1498,14 @@ class WSDExecutor:
         self._require_plain_worldlocal(
             query, "a compound (UNION/INTERSECT/EXCEPT) query")
         if _compound_needs_per_world(query):
+            # Each distinct per-world answer keeps its row order.
             self.stats.group_fallbacks += 1
-            try:
-                return self._compound_distribution(query)
-            except _FallbackNeeded:
-                return self._fallback(query)
+            joints = self._iter_query_joints(self.base, query,
+                                             allow_sampling=True)
+            return WSDQueryResult(
+                kind="distribution",
+                distribution=_answer_distribution(
+                    (weight, answers[0]) for _, answers, weight in joints))
         try:
             working, schema, entries = self._compound_source_entries(
                 self.base, query)
@@ -1571,27 +1515,6 @@ class WSDExecutor:
                                        keep="answer")
         return WSDQueryResult(kind="wsd", decomposition=answer,
                               relation_name="answer")
-
-    def _compound_distribution(self, query: CompoundQuery) -> WSDQueryResult:
-        """Guarded per-joint evaluation of an ORDER BY / LIMIT compound:
-        each distinct per-world answer keeps its row order."""
-        working = self.base
-        names = self._joint_relation_names(working, query, [])
-        order_keys: list[tuple] = []
-        grouped: dict[tuple, tuple[float, Relation]] = {}
-        for combo, involved, answers, weight in self._iter_query_joints(
-                working, names, query, allow_sampling=True):
-            answer = answers[0]
-            key = (tuple(answer.schema.names()), answer.fingerprint())
-            if key not in grouped:
-                order_keys.append(key)
-                grouped[key] = (weight, answer)
-            else:
-                mass, representative = grouped[key]
-                grouped[key] = (mass + weight, representative)
-        return WSDQueryResult(
-            kind="distribution",
-            distribution=[grouped[key] for key in order_keys])
 
     def _compound_source_entries(self, working: WorldSetDecomposition,
                                  query: CompoundQuery
@@ -1621,23 +1544,13 @@ class WSDExecutor:
             # Per-world LIMIT selects world-dependent rows; only per-joint
             # evaluation reproduces it.
             self.stats.group_fallbacks += 1
-        schema, entries = self._compound_entries_enumerate(working, query)
+        # Guarded per-joint evaluation of the whole compound.  An install
+        # path: never samples (pinned conditions over a sampled subset would
+        # corrupt the installed decomposition).
+        schema, entries = _entries_from_joints(
+            (pinned, answers[0]) for pinned, answers, _
+            in self._iter_query_joints(working, query))
         return working, schema, entries
-
-    def _compound_entries_enumerate(self, working: WorldSetDecomposition,
-                                    query: CompoundQuery
-                                    ) -> tuple[Schema,
-                                               list[tuple[tuple, list[Condition]]]]:
-        """Guarded per-joint evaluation of a whole compound query.
-
-        An install path: never samples (pinned conditions over a sampled
-        subset would corrupt the installed decomposition)."""
-        names = self._joint_relation_names(working, query, [])
-        return self._entries_from_joints(
-            working,
-            ((combo, involved, answers[0])
-             for combo, involved, answers, _weight
-             in self._iter_query_joints(working, names, query)))
 
     def _require_plain_worldlocal(self, query: Query, where: str) -> None:
         """Reject world-level constructs inside *where* — exactly the
@@ -1677,47 +1590,26 @@ class WSDExecutor:
         distribution = self._group_worlds_enumerate(working, query, items)
         return WSDQueryResult(kind="distribution", distribution=distribution)
 
-    def _group_worlds_joints(self, working: WorldSetDecomposition,
-                             query: SelectQuery,
-                             items: list[tuple[str, str]],
-                             allow_sampling: bool = False):
-        """Yield ``(combo, involved, answer, group key, weight)`` per joint
-        alternative of the components the main and grouping queries touch."""
-        core = _strip_world_clauses(query, items=items)
-        grouping_query = query.group_worlds_by.query
-        names = self._joint_relation_names(working, core,
-                                           [name for name, _ in items])
-        names = self._joint_relation_names(working, grouping_query, names)
-        for combo, involved, answers, weight in self._iter_query_joints(
-                working, names, core, grouping_query,
-                allow_sampling=allow_sampling):
-            yield combo, involved, answers[0], answers[1].fingerprint(), \
-                weight
-
     def _group_worlds_enumerate(self, working: WorldSetDecomposition,
                                 query: SelectQuery,
                                 items: list[tuple[str, str]]
                                 ) -> list[tuple[float, Relation]]:
-        """Guarded component-joint grouping: the fallback for shapes the
-        native grouping engine does not cover."""
+        """Guarded per-joint grouping: the fallback for shapes the native
+        grouping engine does not cover.  Joints group by the grouping
+        subquery's answer; each group collects its main answers."""
         from ..core.executor import collect_quantifier
 
-        quantifier = query.quantifier or "possible"
-        order: list[tuple] = []
-        answers: dict[tuple, list[Relation]] = {}
-        masses: dict[tuple, float] = {}
-        for combo, involved, answer, group_key, weight \
-                in self._group_worlds_joints(working, query, items,
-                                             allow_sampling=True):
-            if group_key not in answers:
-                order.append(group_key)
-                answers[group_key] = []
-                masses[group_key] = 0.0
-            answers[group_key].append(answer)
-            masses[group_key] += weight
-        return [(masses[key],
-                 collect_quantifier(quantifier, answers[key]))
-                for key in order]
+        core = _strip_world_clauses(query, items=items)
+        groups: dict[tuple, list[tuple[Relation, float]]] = {}
+        for _, (answer, grouping), weight in self._iter_query_joints(
+                working, core, query.group_worlds_by.query,
+                allow_sampling=True):
+            groups.setdefault(grouping.fingerprint(), []).append(
+                (answer, weight))
+        return [(sum(weight for _, weight in members),
+                 collect_quantifier(query.quantifier or "possible",
+                                    [answer for answer, _ in members]))
+                for members in groups.values()]
 
     def _group_worlds_entries(self, working: WorldSetDecomposition,
                               query: SelectQuery,
@@ -1729,85 +1621,62 @@ class WSDExecutor:
         under its pinned condition."""
         from ..core.executor import collect_quantifier
 
-        quantifier = query.quantifier or "possible"
-        joints = list(self._group_worlds_joints(working, query, items))
+        core = _strip_world_clauses(query, items=items)
+        joints = [(pinned, answer, grouping.fingerprint())
+                  for pinned, (answer, grouping), _ in self._iter_query_joints(
+                      working, core, query.group_worlds_by.query)]
         grouped: dict[tuple, list[Relation]] = {}
-        for _combo, _involved, answer, group_key, _weight in joints:
-            grouped.setdefault(group_key, []).append(answer)
-        collected = {key: collect_quantifier(quantifier, group)
-                     for key, group in grouped.items()}
-        return self._entries_from_joints(
-            working,
-            ((combo, involved, collected[group_key])
-             for combo, involved, _answer, group_key, _weight in joints))
+        for _, answer, key in joints:
+            grouped.setdefault(key, []).append(answer)
+        collected = {key: collect_quantifier(query.quantifier or "possible",
+                                             answers)
+                     for key, answers in grouped.items()}
+        return _entries_from_joints((pinned, collected[key])
+                                    for pinned, _, key in joints)
 
     # -- component-joint evaluation ------------------------------------------------------------
 
     def _evaluate_component_joint(self, working: WorldSetDecomposition,
                                   query: SelectQuery,
                                   items: list[tuple[str, str]]) -> WSDQueryResult:
-        approximations_before = len(self.approximations)
-        answers, weights = self._component_joint_answers(working, query, items)
-        # When the joint degraded to sampling, every accumulated mass is an
-        # estimated fraction of `samples` draws; conf answers then carry a
-        # Wilson interval per reported mass.
-        sampled = len(self.approximations) > approximations_before
-        if query.conf:
-            if not query.select_items:
-                mass = sum(weight for answer, weight in zip(answers, weights)
-                           if len(answer) > 0)
-                if not sampled:
-                    return WSDQueryResult(
-                        kind="rows",
-                        relation=_make_relation(Schema([Column("conf")]),
-                                                [(mass,)]))
-                low, high = self._sampled_mass_interval(mass, len(weights))
-                return WSDQueryResult(
-                    kind="rows",
-                    relation=_make_relation(
-                        Schema([Column("conf"), Column("conf_low"),
-                                Column("conf_high")]),
-                        [(mass, low, high)]))
-            confidence: dict[tuple, float] = {}
-            order: list[tuple] = []
-            for answer, weight in zip(answers, weights):
-                for row in set(answer.rows):
-                    if row not in confidence:
-                        confidence[row] = 0.0
-                        order.append(row)
-                    confidence[row] += weight
-            columns = list(answers[0].schema.without_qualifiers().columns)
-            if not sampled:
-                schema = Schema(columns + [Column("conf")])
-                rows = [row + (confidence[row],) for row in order]
-            else:
-                schema = Schema(columns + [Column("conf"), Column("conf_low"),
-                                           Column("conf_high")])
-                rows = []
-                for row in order:
-                    low, high = self._sampled_mass_interval(confidence[row],
-                                                            len(weights))
-                    rows.append(row + (confidence[row], low, high))
-            return WSDQueryResult(kind="rows",
-                                  relation=_make_relation(schema, rows))
-        if query.quantifier is not None:
-            from ..core.executor import collect_quantifier
+        """Evaluate the plain core of *query* per joint alternative, then
+        read conf / possible / certain or the answer distribution off the
+        weighted per-joint answers."""
+        from ..core.executor import collect_quantifier
 
-            collected = collect_quantifier(query.quantifier, answers)
-            return WSDQueryResult(kind="rows", relation=collected)
-        order_keys: list[tuple] = []
-        grouped: dict[tuple, tuple[float, Relation]] = {}
-        for answer, weight in zip(answers, weights):
-            key = (tuple(answer.schema.names()), answer.fingerprint())
-            if key not in grouped:
-                order_keys.append(key)
-                grouped[key] = (weight, answer)
+        approximations_before = len(self.approximations)
+        core = _strip_world_clauses(query, items=items)
+        joints = [(answers[0], weight) for _, answers, weight
+                  in self._iter_query_joints(working, core,
+                                             allow_sampling=True)]
+        if query.conf:
+            masses: dict[tuple, float] = {}
+            if query.select_items:
+                columns = list(
+                    joints[0][0].schema.without_qualifiers().columns)
+                for answer, weight in joints:
+                    for row in set(answer.rows):
+                        masses[row] = masses.get(row, 0.0) + weight
             else:
-                mass, representative = grouped[key]
-                grouped[key] = (mass + weight, representative)
-        distribution = [(grouped[key][0], grouped[key][1])
-                        for key in order_keys]
-        return WSDQueryResult(kind="distribution", distribution=distribution)
+                columns = []
+                masses[()] = sum(weight for answer, weight in joints
+                                 if len(answer) > 0)
+            # When the joint degraded to sampling, every accumulated mass is
+            # an estimated fraction of the sampled joints; conf answers then
+            # carry a Wilson interval per reported mass.
+            sampled = len(self.approximations) > approximations_before
+            return WSDQueryResult(kind="rows", relation=_conf_relation(
+                columns,
+                [(row, mass, self._sampled_mass_interval(mass, len(joints))
+                  if sampled else None)
+                 for row, mass in masses.items()]))
+        if query.quantifier is not None:
+            return WSDQueryResult(kind="rows", relation=collect_quantifier(
+                query.quantifier, [answer for answer, _ in joints]))
+        return WSDQueryResult(
+            kind="distribution",
+            distribution=_answer_distribution(
+                (weight, answer) for answer, weight in joints))
 
     def _sampled_mass_interval(self, mass: float,
                                samples: int) -> tuple[float, float]:
@@ -1818,53 +1687,35 @@ class WSDExecutor:
                                        self.anytime.z_score())
         return low, high
 
-    def _iter_component_joints(self, working: WorldSetDecomposition,
-                               query: SelectQuery,
-                               items: list[tuple[str, str]],
-                               allow_sampling: bool = False):
-        """Evaluate the plain core of *query* once per joint alternative of
-        the components touching its referenced relations.
-
-        Yields ``(combo, involved, answer, weight)`` per joint alternative,
-        where *combo* is the alternative index per *involved* component.
-        This is the single guarded joint-enumeration core shared by the
-        query path (:meth:`_component_joint_answers`, which may sample
-        under graceful degradation) and the install path
-        (:meth:`_component_joint_entries`, always strict).
-        """
-        core = _strip_world_clauses(query, items=items)
-        names = self._joint_relation_names(working, core,
-                                           [name for name, _ in items])
-        for combo, involved, answers, weight in self._iter_query_joints(
-                working, names, core, allow_sampling=allow_sampling):
-            yield combo, involved, answers[0], weight
-
     def _joint_relation_names(self, working: WorldSetDecomposition,
-                              node: Query, seed: list[str]) -> list[str]:
-        """*seed* plus every relation *node* references (canonicalised)."""
-        names = list(seed)
-        for name in _referenced_relation_names(node):
-            if any(existing.lower() == name.lower() for existing in names):
-                continue
-            if name.lower() in self.views:
-                raise UnsupportedFeatureError(
-                    "views cannot be referenced inside a nested query; "
-                    "materialise the view with CREATE TABLE ... AS first")
-            names.append(self._canonical_name(working, name))
+                              queries: Sequence[Query]) -> list[str]:
+        """The relations one joint alternative instantiates: every relation
+        *queries* reference (FROM items, nested subqueries), canonicalised
+        and named once however many aliases a self-join gives it."""
+        names: list[str] = []
+        for query in queries:
+            for name in _referenced_relation_names(query):
+                if name.lower() in self.views:
+                    raise UnsupportedFeatureError(
+                        "views cannot be referenced inside a nested query; "
+                        "materialise the view with CREATE TABLE ... AS first")
+                canonical = canonical_relation_name(working.template, name)
+                if canonical not in names:
+                    names.append(canonical)
         return names
 
     def _iter_query_joints(self, working: WorldSetDecomposition,
-                           names: Sequence[str], *queries: Query,
-                           allow_sampling: bool = False):
+                           *queries: Query, allow_sampling: bool = False):
         """Evaluate plain *queries* once per joint alternative of the
-        components touching *names* (the single guarded joint-enumeration
-        core shared by the component-joint, compound-enumerate and
-        world-grouping paths).
+        components touching the relations they reference — the one guarded
+        per-joint primitive behind the component-joint, compound and
+        world-grouping fallbacks and their CREATE TABLE AS installs.
 
-        Yields ``(combo, involved, answers, weight)`` per joint alternative,
-        where *combo* is the alternative index per *involved* component,
-        *answers* aligns with *queries* and *weight* is the probability mass
-        the combo carries towards a distribution.
+        Yields ``(pinned, answers, weight)`` per joint alternative: *pinned*
+        is the :class:`Condition` fixing each involved component to the
+        alternative this joint chose, *answers* aligns with *queries* and
+        *weight* is the probability mass the joint carries towards a
+        distribution.
 
         When the joint exceeds the enumeration limit the call normally
         refuses (:class:`~repro.errors.EnumerationLimitError`); under
@@ -1876,6 +1727,7 @@ class WSDExecutor:
         Install paths must never sample: their pinned per-combo conditions
         would turn a sampled subset into wrong session state.
         """
+        names = self._joint_relation_names(working, queries)
         fields = {f
                   for name in names
                   for t in working.template.relation_tuples(name)
@@ -1919,72 +1771,15 @@ class WSDExecutor:
             world = World(catalog)
             answers = [executor.evaluate_plain_in_world(query, world)
                        for query in queries]
+            # *involved* ascends, so the atoms are already in index order.
+            pinned = Condition(tuple(
+                (index, frozenset([alt_index]))
+                for index, alt_index in zip(involved, combo)
+                if len(working.components[index]) > 1))
             weight = (sampled_weight if sampled_weight is not None
                       else self._joint_weight(working, involved, combo))
-            yield combo, involved, answers, weight
+            yield pinned, answers, weight
         self.stats.component_joint += 1
-
-    def _component_joint_answers(self, working: WorldSetDecomposition,
-                                 query: SelectQuery,
-                                 items: list[tuple[str, str]]
-                                 ) -> tuple[list[Relation], list[float]]:
-        answers: list[Relation] = []
-        weights: list[float] = []
-        for _combo, _involved, answer, weight in self._iter_component_joints(
-                working, query, items, allow_sampling=True):
-            answers.append(answer)
-            weights.append(weight)
-        return answers, weights
-
-    def _component_joint_entries(self, working: WorldSetDecomposition,
-                                 query: SelectQuery,
-                                 items: list[tuple[str, str]]
-                                 ) -> tuple[Schema,
-                                            list[tuple[tuple, list[Condition]]]]:
-        """Entries for installing a plain aggregate query's per-world answers.
-
-        Each joint alternative is one full condition; a row that appears in
-        several joint answers carries the disjunction of their conditions, so
-        the installed relation reproduces every per-world answer exactly.
-        An install path: never samples.
-        """
-        return self._entries_from_joints(
-            working,
-            ((combo, involved, answer)
-             for combo, involved, answer, _weight
-             in self._iter_component_joints(working, query, items)))
-
-    def _entries_from_joints(self, working: WorldSetDecomposition, joints
-                             ) -> tuple[Schema,
-                                        list[tuple[tuple, list[Condition]]]]:
-        """Entries from ``(combo, involved, answer)`` joint alternatives:
-        every answer row copy carries the pinned per-joint conditions of the
-        alternatives producing it."""
-        from collections import Counter
-
-        schema: Schema | None = None
-        row_order: list[tuple] = []
-        copies: dict[tuple, list[list[Condition]]] = {}
-        for combo, involved, answer in joints:
-            atoms = [(index, frozenset([alt_index]))
-                     for index, alt_index in zip(involved, combo)
-                     if len(working.components[index]) > 1]
-            condition = Condition(tuple(sorted(atoms, key=lambda kv: kv[0])))
-            if schema is None:
-                schema = answer.schema
-            for row, count in Counter(answer.rows).items():
-                if row not in copies:
-                    row_order.append(row)
-                slots = copies.setdefault(row, [])
-                for copy_index in range(count):
-                    if copy_index >= len(slots):
-                        slots.append([])
-                    slots[copy_index].append(condition)
-        entries: list[tuple[tuple, list[Condition]]] = []
-        for row in row_order:
-            for conditions in copies[row]:
-                entries.append((row, conditions))
-        return schema if schema is not None else Schema([]), entries
 
     # -- assert (conditioning) ------------------------------------------------------------------
 
@@ -2201,7 +1996,7 @@ class WSDExecutor:
                 # output row); leave those shapes to the generic event.
                 return None
         try:
-            name = self._canonical_name(working, ref.name)
+            name = canonical_relation_name(working.template, ref.name)
         except UnknownRelationError:
             return None
         alias = ref.effective_alias()
@@ -2237,7 +2032,7 @@ class WSDExecutor:
                 raise UnsupportedFeatureError(
                     "views cannot be referenced inside an assert condition "
                     "on the wsd backend; materialise the view first")
-            names.append(self._canonical_name(working, name))
+            names.append(canonical_relation_name(working.template, name))
         fields = {f
                   for name in names
                   for t in working.template.relation_tuples(name)
@@ -2364,18 +2159,6 @@ class WSDExecutor:
         return WSDQueryResult(kind="explicit", explicit=outcome)
 
     # -- template bookkeeping ---------------------------------------------------------------------
-
-    def _canonical_name(self, working: WorldSetDecomposition,
-                        name: str) -> str:
-        return canonical_relation_name(working.template, name)
-
-    def _relation_is_certain(self, working: WorldSetDecomposition,
-                             name: str) -> bool:
-        return relation_is_certain(working.template, name)
-
-    def _materialise_certain(self, working: WorldSetDecomposition,
-                             name: str) -> Relation:
-        return materialise_certain(working.template, name)
 
     def _component_index(self, working: WorldSetDecomposition
                          ) -> dict[Field, int]:
@@ -2549,6 +2332,69 @@ def _merge_entries(pairs: Iterable[tuple[tuple, Condition]]
     for row, condition in pairs:
         merged.setdefault(row, []).append(condition)
     return merged
+
+
+def _conf_relation(columns: Sequence[Column],
+                   estimates: Sequence[tuple[tuple, float,
+                                             Optional[tuple[float, float]]]]
+                   ) -> Relation:
+    """A ``conf`` answer from ``(row, mass, bounds)`` estimates.
+
+    Exact answers carry *columns* plus ``conf``.  When any estimate carries
+    sampled ``(low, high)`` bounds, every row also reports ``conf_low`` /
+    ``conf_high``, and exact rows collapse to a point.
+    """
+    if all(bounds is None for _, _, bounds in estimates):
+        return _make_relation(Schema([*columns, Column("conf")]),
+                              [row + (mass,) for row, mass, _ in estimates])
+    return _make_relation(
+        Schema([*columns, Column("conf"), Column("conf_low"),
+                Column("conf_high")]),
+        [row + (mass, *(bounds or (mass, mass)))
+         for row, mass, bounds in estimates])
+
+
+def _answer_distribution(pairs: Iterable[tuple[float, Relation]]
+                         ) -> list[tuple[float, Relation]]:
+    """Fold ``(mass, answer)`` pairs into one pair per distinct answer (same
+    column names, same rows): masses sum, the first-seen answer represents
+    its group, and groups keep first-seen order."""
+    grouped: dict[tuple, list] = {}
+    for mass, answer in pairs:
+        key = (tuple(answer.schema.names()), answer.fingerprint())
+        if key in grouped:
+            grouped[key][0] += mass
+        else:
+            grouped[key] = [mass, answer]
+    return [(mass, answer) for mass, answer in grouped.values()]
+
+
+def _entries_from_joints(joints: Iterable[tuple[Condition, Relation]]
+                         ) -> tuple[Schema,
+                                    list[tuple[tuple, list[Condition]]]]:
+    """Entries installing per-joint answers from ``(pinned, answer)`` pairs.
+
+    Each joint alternative is one full condition; the k-th copy of a row
+    carries the disjunction of the pinned conditions of every joint whose
+    answer holds at least k copies, so the installed relation reproduces
+    every per-joint answer exactly, duplicates included.
+    """
+    from collections import Counter
+
+    schema: Schema | None = None
+    copies: dict[tuple, list[list[Condition]]] = {}
+    for pinned, answer in joints:
+        if schema is None:
+            schema = answer.schema
+        for row, count in Counter(answer.rows).items():
+            slots = copies.setdefault(row, [])
+            for copy_index in range(count):
+                if copy_index >= len(slots):
+                    slots.append([])
+                slots[copy_index].append(pinned)
+    entries = [(row, conditions)
+               for row, slots in copies.items() for conditions in slots]
+    return schema if schema is not None else Schema([]), entries
 
 
 def _instantiate_relation(template: Template, name: str,

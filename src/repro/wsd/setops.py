@@ -106,8 +106,12 @@ def _operand_entries(executor, working, node: Query, budget: int):
     if executor._needs_component_joint(node):
         # Aggregates / ORDER BY inside an operand genuinely need per-world
         # answers; enumerate only the components the operand touches.
-        schema, entries = executor._component_joint_entries(working, node,
-                                                            items)
+        from .execute import _entries_from_joints, _strip_world_clauses
+
+        core = _strip_world_clauses(node, items=items)
+        schema, entries = _entries_from_joints(
+            (pinned, answers[0]) for pinned, answers, _
+            in executor._iter_query_joints(working, core))
     else:
         schema, entries = executor._symbolic_entries(working, node, items)
     return working, schema, entries

@@ -23,6 +23,9 @@ Four layers of coverage:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -32,6 +35,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import (
     AnytimeBudget,
     MayBMS,
@@ -290,6 +294,8 @@ REPAIR = "create table I as select K, P1, P2 from Dirty repair by key K weight W
 CHAIN_CONF = ("select conf from I i1, L, I i2 "
               "where i1.K = L.A and i2.K = L.B and i1.P1 > i2.P2;")
 TINY = ResourceBudgets(enumeration_limit=8, dtree_nodes=4)
+#: The directory holding the ``repro`` package, for child interpreters.
+SOURCE_ROOT = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def chain_session(groups=12, seed=3, **kwargs):
@@ -329,6 +335,61 @@ class TestSessionDegradation:
         rows = [chain_session(budgets=TINY, degradation="anytime")
                 .execute(CHAIN_CONF).rows() for _ in range(2)]
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("query, columns", [
+        ("select conf, P1 from I where K = 1 order by P1;",
+         ["P1", "conf", "conf_low", "conf_high"]),
+        ("select conf from I where K = 1 and P1 = 15532 order by P1;",
+         ["conf", "conf_low", "conf_high"]),
+    ], ids=["select-items", "no-select-items"])
+    def test_sampled_component_joint_conf(self, query, columns):
+        """ORDER BY keeps a conf query on the component-joint path; past
+        the enumeration limit it samples joint alternatives and reports a
+        Wilson interval per confidence."""
+        exact = {row[:-1]: row[-1]
+                 for row in chain_session().execute(query).rows()}
+        answers = []
+        for _ in range(2):
+            db = chain_session(budgets=TINY, degradation="anytime")
+            result = db.execute(query)
+            assert db.backend.stats.component_joint == 1
+            assert result.approximate
+            assert [column.name for column in
+                    result.relation.schema.columns] == columns
+            contract = result.approximation
+            assert contract["estimators"] == ["joint-sampling"]
+            assert contract["samples"] > 0
+            assert 0.0 < contract["epsilon"] <= 1.0
+            rows = result.rows()
+            assert {row[:-3] for row in rows} == set(exact)
+            for row in rows:
+                value, low, high = row[-3:]
+                assert low <= value <= high
+                assert low - 1e-9 <= exact[row[:-3]] <= high + 1e-9
+            answers.append(rows)
+        assert answers[0] == answers[1]
+
+    def test_joint_samples_reproduce_across_processes(self):
+        """The sampled joint alternatives depend on the seed and the query
+        alone, not on a process's string-hash randomisation, so every
+        process (e.g. every serving worker) answers a sampled statement
+        alike."""
+        query = "select conf, P1 from I where K = 1 order by P1;"
+        script = (
+            f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_approximate_properties import TINY, chain_session\n"
+            "db = chain_session(budgets=TINY, degradation='anytime')\n"
+            f"print(db.execute({query!r}).rows())\n")
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [SOURCE_ROOT, os.environ.get("PYTHONPATH", "")]))
+            completed = subprocess.run([sys.executable, "-c", script],
+                                       env=env, capture_output=True,
+                                       text=True, timeout=120, check=True)
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1
 
     def test_per_request_options_override_strict_session(self):
         db = chain_session(budgets=TINY)

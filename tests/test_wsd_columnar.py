@@ -12,6 +12,9 @@ behaviour (counters, ExpressionError rescue) is covered here too.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro import MayBMS
@@ -48,6 +51,25 @@ ROWS = [
 
 def batch(rows=ROWS):
     return [SymTuple(row, TRUE_CONDITION) for row in rows]
+
+
+@contextlib.contextmanager
+def force_rowwise():
+    """Refuse to compile any columnar batch, so the executor runs its
+    interpreted row-at-a-time loops (the reference the batches replace)."""
+    with mock.patch("repro.wsd.execute.compile_predicate",
+                    lambda *args: None), \
+            mock.patch("repro.wsd.execute.compile_projection",
+                       lambda *args: None):
+        yield
+
+
+def canonical(rows):
+    """Rows with floats rounded, as a sorted list (the backends may differ
+    in the last bits of a summed confidence)."""
+    return sorted((tuple(round(value, 9) if isinstance(value, float)
+                         else value for value in row) for row in rows),
+                  key=repr)
 
 
 def rowwise(expression, rows=ROWS, schema=SCHEMA):
@@ -237,10 +259,15 @@ class TestExecutorIntegration:
     create table I as select A, B, C from R repair by key A weight D;
     """
 
-    def build(self) -> MayBMS:
-        db = MayBMS(backend="wsd")
+    def build(self, backend: str = "wsd") -> MayBMS:
+        db = MayBMS(backend=backend)
         db.execute_script(self.SETUP)
         return db
+
+    def explicit_rows(self, query: str) -> list:
+        """The explicit backend's answer to *query*: the interpreted
+        reference every columnar batch must reproduce."""
+        return canonical(self.build("explicit").execute(query).rows())
 
     def test_supported_filter_counts_a_columnar_batch(self):
         db = self.build()
@@ -254,13 +281,8 @@ class TestExecutorIntegration:
         before = db.backend.stats.rowwise_fallbacks
         result = db.execute("select possible A from I where B like '1%';")
         assert db.backend.stats.rowwise_fallbacks > before
-        db.backend.columnar = False
-        try:
-            baseline = db.execute(
-                "select possible A from I where B like '1%';")
-        finally:
-            db.backend.columnar = True
-        assert sorted(result.rows()) == sorted(baseline.rows())
+        assert canonical(result.rows()) == self.explicit_rows(
+            "select possible A from I where B like '1%';")
 
     def test_columnar_answers_match_rowwise_end_to_end(self):
         db = self.build()
@@ -270,15 +292,9 @@ class TestExecutorIntegration:
             "select possible B + 1 from I where C is not null;",
             "select possible A || C from I where not (B < 15);",
         ]
-        columnar_answers = [sorted(db.execute(q).rows(), key=repr)
-                            for q in queries]
-        db.backend.columnar = False
-        try:
-            rowwise_answers = [sorted(db.execute(q).rows(), key=repr)
-                               for q in queries]
-        finally:
-            db.backend.columnar = True
-        assert columnar_answers == rowwise_answers
+        columnar_answers = [canonical(db.execute(q).rows()) for q in queries]
+        assert db.backend.stats.rowwise_fallbacks == 0
+        assert columnar_answers == [self.explicit_rows(q) for q in queries]
 
     def test_batch_error_is_rescued_to_rowwise_semantics(self):
         # An OR is not split into conjunct filters, so the whole predicate
@@ -303,40 +319,39 @@ class TestExecutorIntegration:
         # column can become a whole predicate.  The interpreted loop keeps
         # a row only when evaluate() `is True`, so the string drops the row
         # without an error — the columnar mask must do exactly the same.
+        # (The explicit backend raises ExpressionError on this predicate
+        # instead, so the reference here is the executor's own interpreted
+        # loop, forced by refusing to compile any batch.)
         db = MayBMS(backend="wsd")
         db.execute_script("""
         create table T (S varchar, N integer);
         insert into T values ('x', 1);
         create table U as select S, N from T repair by key S weight N;
         """)
-        result = db.execute("select possible N from U where S and N > 0;")
-        db.backend.columnar = False
-        try:
-            baseline = db.execute(
-                "select possible N from U where S and N > 0;")
-        finally:
-            db.backend.columnar = True
+        query = "select possible N from U where S and N > 0;"
+        result = db.execute(query)
+        fallbacks = db.backend.stats.rowwise_fallbacks
+        with force_rowwise():
+            baseline = db.execute(query)
+        assert db.backend.stats.rowwise_fallbacks > fallbacks
         assert result.rows() == baseline.rows() == []
 
     def test_hash_join_keys_batch_columnar(self):
-        db = self.build()
-        db.execute_script("""
+        link = """
         create table L (A varchar, T integer);
         insert into L values ('a1', 1);
         insert into L values ('a2', 2);
-        """)
+        """
+        query = "select conf, T from I, L where I.A = L.A and B > 12;"
+        db = self.build()
+        db.execute_script(link)
         before = db.backend.stats.columnar_batches
-        result = db.execute(
-            "select conf, T from I, L where I.A = L.A and B > 12;")
+        result = db.execute(query)
         assert db.backend.stats.columnar_batches > before
-        db.backend.columnar = False
-        try:
-            baseline = db.execute(
-                "select conf, T from I, L where I.A = L.A and B > 12;")
-        finally:
-            db.backend.columnar = True
-        assert sorted(result.rows(), key=repr) == \
-            sorted(baseline.rows(), key=repr)
+        explicit = self.build("explicit")
+        explicit.execute_script(link)
+        assert canonical(result.rows()) == \
+            canonical(explicit.execute(query).rows())
 
     def test_scalar_subquery_predicates_stay_interpreted(self):
         # ScalarSubquery is outside the supported set; the query must still

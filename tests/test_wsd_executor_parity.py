@@ -33,7 +33,13 @@ from repro.datasets import (
     figure1_database,
     figure3_whale_worlds,
 )
+from repro.errors import (
+    ReproError,
+    UnknownRelationError,
+    UnsupportedFeatureError,
+)
 from repro.tracking import attack_possibility_sql, protective_cow_view_sql
+from repro.tracking.queries import group_by_adult_position_sql
 from repro.wsd import WorldSetDecomposition, from_worldset, normalize
 from repro.wsd.grouping import GroupingUnsupportedError
 from repro.wsd.setops import SetOpBudgetExceededError
@@ -185,6 +191,12 @@ GROUPING_CORPUS = [
 
 QUERY_CORPUS = QUERY_CORPUS + AGGREGATE_CORPUS + GROUPING_CORPUS
 
+#: Figure 4's ``group worlds by`` over a self-join of ``I``.
+WHALE_GROUPING_SELF_JOIN = (
+    "select possible i2.Gender as G2, i3.Gender as G3 from I i2, I i3 "
+    "where i2.Id = 2 and i3.Id = 3 "
+    "group worlds by (select Pos from I where Id = 2);")
+
 #: Section 3.1: the whale-tracking queries over the six worlds of Figure 3,
 #: including Figure 4's group-worlds-by shapes.
 WHALE_CORPUS = [
@@ -194,9 +206,7 @@ WHALE_CORPUS = [
     "select certain * from I;",
     "select possible * from I;",
     "select conf, Id, Pos from I;",
-    "select possible i2.Gender as G2, i3.Gender as G3 from I i2, I i3 "
-    "where i2.Id = 2 and i3.Id = 3 "
-    "group worlds by (select Pos from I where Id = 2);",
+    WHALE_GROUPING_SELF_JOIN,
     "select certain i3.Gender as G3 from I i3 where i3.Id = 3 "
     "group worlds by (select Pos from I where Id = 2);",
 ]
@@ -727,3 +737,142 @@ class TestWsdBackendBasics:
             possible = wsd.execute("select possible K from I;")
             assert len(possible.rows()) == 40
         assert wsd.backend.stats.fallback == 0
+
+
+#: Self-joins of ``I`` outside the symbolic and aggregate engines (ORDER BY /
+#: LIMIT mains), so they evaluate on the guarded per-joint path.
+SELF_JOIN_GUARDED_CORPUS = [
+    "select conf, i2.Gender as G2, i3.Gender as G3 from I i2, I i3 "
+    "where i2.Id = 2 and i3.Id = 3 order by G2, G3;",
+    "select i2.Gender as G2, i3.Gender as G3 from I i2, I i3 "
+    "where i2.Id = 2 and i3.Id = 3 order by G2 limit 1;",
+]
+
+
+class TestSelfJoins:
+    """A FROM clause naming one relation under several aliases instantiates
+    that relation once per joint alternative, and answers like the explicit
+    backend on every guarded per-joint path."""
+
+    def test_figure4_groups_table(self):
+        explicit, wsd = whale_sessions()
+        statement = group_by_adult_position_sql()
+        explicit.execute(statement)
+        wsd.execute(statement)
+        for query in ["select * from Groups;",
+                      "select conf, G2, G3 from Groups;",
+                      "select possible G2, G3 from Groups;"]:
+            assert_answers_agree(wsd.execute(query), explicit.execute(query),
+                                 query)
+
+    @pytest.mark.parametrize("query", SELF_JOIN_GUARDED_CORPUS)
+    def test_component_joint_self_joins(self, query):
+        explicit, wsd = whale_sessions()
+        assert_answers_agree(wsd.execute(query), explicit.execute(query),
+                             query)
+        assert wsd.backend.stats.component_joint >= 1
+        assert wsd.backend.stats.fallback == 0
+
+    def test_guarded_grouping_self_join(self):
+        explicit, wsd = whale_sessions()
+        query = WHALE_GROUPING_SELF_JOIN
+        expected = explicit.execute(query)
+        with force_guarded_grouping():
+            actual = wsd.execute(query)
+        assert wsd.backend.stats.group_fallbacks >= 1
+        assert wsd.backend.stats.fallback == 0
+        assert_answers_agree(actual, expected, query)
+
+
+#: ``assert`` conditions over Figure 3 that compile to event factors: the
+#: AND split, a negated EXISTS, an OR, and a negated OR.  Each keeps some
+#: worlds.
+WHALE_ASSERT_CONDITIONS = [
+    "exists(select * from I where Gender='cow' and Pos='a') "
+    "and exists(select * from I where Id=2 and Pos='b')",
+    "not (exists(select * from I where Gender='cow' and Pos='a'))",
+    "exists(select * from I where Gender='cow' and Pos='a') "
+    "or exists(select * from I where Id=2 and Pos='b')",
+    "not (exists(select * from I where Gender='cow' and Pos='a') "
+    "or exists(select * from I where Id=2 and Pos='b'))",
+]
+
+
+@pytest.mark.parametrize("condition", WHALE_ASSERT_CONDITIONS)
+@pytest.mark.parametrize("select", ["select possible * from I",
+                                    "select conf, Id, Pos from I"])
+def test_whale_assert_factors_agree(select, condition):
+    assert_native_answer_agrees(*whale_sessions(),
+                                f"{select} assert {condition};")
+
+
+def run_on_both(explicit, wsd, statement):
+    """Run *statement* on both backends: both succeed, or both raise the
+    same error class."""
+    outcomes = []
+    for db in (explicit, wsd):
+        try:
+            db.execute(statement)
+        except ReproError as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1], statement
+    return outcomes[0]
+
+
+def assert_queries_agree(explicit, wsd, queries):
+    for query in queries:
+        assert_answers_agree(wsd.execute(query), explicit.execute(query),
+                             query)
+
+
+class TestDdlDmlParity:
+    """DROP TABLE, INSERT ... SELECT and CREATE TABLE AS over collected
+    answers leave both backends answering alike.  Answers are compared,
+    not world counts: after a drop the explicit backend keeps duplicate
+    worlds that the wsd backend re-normalises away."""
+
+    def test_drop_table(self):
+        explicit, wsd = build_sessions(WEIGHTED_SETUP)
+        run_on_both(explicit, wsd,
+                    "create table J as select A, B from I where B > 12;")
+        assert run_on_both(explicit, wsd, "drop table I;") is None
+        assert_queries_agree(explicit, wsd, ["select * from J;",
+                                             "select conf, A, B from J;"])
+        assert run_on_both(explicit, wsd, "select * from I;") \
+            is UnknownRelationError
+
+    def test_drop_missing_table(self):
+        explicit, wsd = build_sessions(WEIGHTED_SETUP)
+        assert run_on_both(explicit, wsd,
+                           "drop table if exists Nope;") is None
+        assert run_on_both(explicit, wsd, "drop table Nope;") \
+            is UnknownRelationError
+        assert_queries_agree(explicit, wsd, ["select conf, A, B from I;"])
+
+    def test_insert_select(self):
+        explicit, wsd = build_sessions(WEIGHTED_SETUP)
+        run_on_both(explicit, wsd, "create table T (A, B);")
+        # From a certain relation, and from an uncertain one whose answer
+        # is the same in every world: both insert.
+        assert run_on_both(explicit, wsd, "insert into T select A, B "
+                                          "from R where B > 12;") is None
+        assert run_on_both(explicit, wsd, "insert into T select A, B "
+                                          "from I where A = 'a3';") is None
+        # A world-dependent answer: both refuse with the same error.
+        assert run_on_both(explicit, wsd, "insert into T select A, B "
+                                          "from I;") \
+            is UnsupportedFeatureError
+        assert_queries_agree(explicit, wsd, ["select * from T;"])
+
+    @pytest.mark.parametrize("statement", [
+        "create table P as select possible A, B from I;",
+        "create table P as select certain A from I;",
+        "create table P as select conf, A, B from I;",
+        "create table P as select conf from I where B > 12;",
+    ])
+    def test_create_table_as_collected_answer(self, statement):
+        explicit, wsd = build_sessions(WEIGHTED_SETUP)
+        assert run_on_both(explicit, wsd, statement) is None
+        assert_queries_agree(explicit, wsd, ["select * from P;"])
