@@ -747,14 +747,11 @@ class WsdBackend(ExecutionBackend):
                                    relation_name=result.relation_name,
                                    approximate=approximate,
                                    approximation=approximation)
-        if result.kind == "distribution":
-            answers = [WorldAnswer(None, mass, relation)
-                       for mass, relation in result.distribution]
-            return StatementResult(kind="world_rows", world_answers=answers,
-                                   approximate=approximate,
-                                   approximation=approximation)
-        # Guarded fallback to the explicit engine.
-        return _explicit_result(result.explicit)
+        answers = [WorldAnswer(None, mass, relation)
+                   for mass, relation in result.distribution]
+        return StatementResult(kind="world_rows", world_answers=answers,
+                               approximate=approximate,
+                               approximation=approximation)
 
     def _execute_create_table_as(self, statement: CreateTableAs,
                                  plan_cache: SharedPlanCache | None = None,

@@ -39,6 +39,7 @@ from ..relational.algebra import (
     UnionOp,
 )
 from ..relational.catalog import Catalog
+from ..relational.schema import Column, Schema
 from ..relational.expressions import (
     AggregateCall,
     BinaryOp,
@@ -160,8 +161,9 @@ class Planner:
             plan = ExceptOp(left, right, distinct=query.distinct)
         else:
             raise PlanningError(f"unknown set operator {query.operator!r}")
-        plan = self._apply_order_limit(plan, query.order_by, query.limit, query.offset)
-        return plan
+        keys = [SortKey(item.expression, item.descending)
+                for item in query.order_by]
+        return self._apply_order_limit(plan, keys, query.limit, query.offset)
 
     def plan_select(self, query: SelectQuery,
                     resolved_from: Optional[list[ResolvedFrom]] = None) -> Operator:
@@ -169,12 +171,12 @@ class Planner:
         plan = self._plan_from(query, resolved_from)
         if query.where is not None:
             plan = self._plan_filter(plan, query.where)
-        plan = self._plan_projection(query, plan)
+        outputs = self._expand_select_items(query, plan)
+        keys = self._sort_keys(query.order_by, outputs, plan)
+        plan = self._plan_projection(query, plan, outputs)
         if query.distinct:
             plan = DistinctOp(plan)
-        plan = self._apply_order_limit(plan, query.order_by, query.limit,
-                                       query.offset)
-        return plan
+        return self._apply_order_limit(plan, keys, query.limit, query.offset)
 
     # -- FROM clause -----------------------------------------------------------------------
 
@@ -189,7 +191,6 @@ class Planner:
             # SELECT without FROM: a single empty row so constant expressions
             # still produce one output row.
             from ..relational.relation import Relation
-            from ..relational.schema import Schema
 
             singleton = Relation(Schema([]), [()], coerce=False)
             return RelationSourceOp(singleton)
@@ -282,8 +283,8 @@ class Planner:
 
     # -- projection and aggregation -----------------------------------------------------------------
 
-    def _plan_projection(self, query: SelectQuery, plan: Operator) -> Operator:
-        outputs = self._expand_select_items(query, plan)
+    def _plan_projection(self, query: SelectQuery, plan: Operator,
+                         outputs: list[OutputColumn]) -> Operator:
         has_aggregates = any(contains_aggregate(output.expression)
                              for output in outputs)
         if query.group_by or has_aggregates or query.having is not None:
@@ -353,10 +354,47 @@ class Planner:
 
     # -- ORDER BY / LIMIT -----------------------------------------------------------------------------
 
-    def _apply_order_limit(self, plan: Operator, order_by, limit, offset) -> Operator:
-        if order_by:
-            plan = SortOp(plan, [SortKey(item.expression, item.descending)
-                                 for item in order_by])
+    def _sort_keys(self, order_by, outputs: list[OutputColumn],
+                   source: Operator) -> list[SortKey]:
+        """ORDER BY items as keys over the projected rows.
+
+        An item naming an output column sorts by it.  An item equal to a
+        select item's expression, or naming the same input column
+        (``i2.Id`` for ``Id``), sorts by that item's output column, as SQL
+        does — by position, because output names can collide.
+        """
+        if not order_by:
+            return []
+        names = {output.name.lower() for output in outputs}
+        schema = Schema([Column(name, qualifier=qualifier) for qualifier, name
+                         in self._visible_columns(source)])
+
+        def input_column(expression: Expression) -> Optional[int]:
+            if not isinstance(expression, ColumnRef):
+                return None
+            found = schema.find(expression.name, expression.qualifier)
+            return found[0] if len(found) == 1 else None
+
+        keys = []
+        for item in order_by:
+            expression = item.expression
+            position = None
+            if not (isinstance(expression, ColumnRef)
+                    and expression.qualifier is None
+                    and expression.name.lower() in names):
+                column = input_column(expression)
+                position = next(
+                    (index for index, output in enumerate(outputs)
+                     if output.expression == expression
+                     or column is not None
+                     and input_column(output.expression) == column), None)
+            keys.append(SortKey(expression, item.descending, position))
+        return keys
+
+    def _apply_order_limit(self, plan: Operator, keys: list[SortKey],
+                           limit, offset) -> Operator:
+        if keys:
+            plan = SortOp(plan, keys)
         if limit is not None or offset:
             plan = LimitOp(plan, limit=limit, offset=offset)
         return plan

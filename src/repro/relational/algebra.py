@@ -449,10 +449,12 @@ def _map_expression(node: Expression,
 
 @dataclass
 class SortKey:
-    """One ORDER BY item: an expression and a direction."""
+    """One ORDER BY item: an expression — or, with ``position``, that column
+    of the input row — and a direction."""
 
     expression: Expression
     descending: bool = False
+    position: int | None = None
 
 
 @dataclass
@@ -472,7 +474,9 @@ class SortOp(Operator):
         decorated = []
         for row in relation.rows:
             context = env.make_context(relation.schema, row)
-            values = tuple(key.expression.evaluate(context) for key in self.keys)
+            values = tuple(row[key.position] if key.position is not None
+                           else key.expression.evaluate(context)
+                           for key in self.keys)
             decorated.append((values, row))
         for position, key in reversed(list(enumerate(self.keys))):
             decorated.sort(key=lambda item: ordering_key(item[0][position]),

@@ -41,11 +41,12 @@ Evaluation strategies, ordered from cheapest to most expensive:
    to this path is counted (:attr:`WsdExecutionStats.aggregate_fallbacks`,
    :attr:`WsdExecutionStats.group_fallbacks`).
 
-4. **Fallback** — only FROM clauses that multiply worlds data-dependently
-   (repairing an uncertain relation) still decompose to the explicit
-   backend via guarded materialisation, flagged in
-   :attr:`WsdExecutionStats.fallback`; no statement *shape* routes through
-   explicit enumeration any more.
+Views and derived tables (installed as transient relations), set-operation
+operands and ``CREATE TABLE AS`` go through one routine,
+:meth:`WSDExecutor._query_entries`, over the strategies above.  The executor
+never enumerates worlds: ``repair by key`` / ``choice of`` on an uncertain
+relation, view or derived table, or both on one FROM item, raise
+:class:`~repro.errors.UnsupportedFeatureError`.
 
 After ``assert`` conditioning the derived decomposition is re-normalised
 (:func:`repro.wsd.normalize.normalize`) so it stays maximally factorised.
@@ -61,7 +62,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from ..errors import (
     AnalysisError,
     DecompositionError,
-    EnumerationLimitError,
     ExpressionError,
     UnknownColumnError,
     UnknownRelationError,
@@ -152,10 +152,6 @@ __all__ = [
 #: working decomposition (repairs, choices, views, derived tables).  Matches
 #: the explicit executor's convention so session-level cleanup is uniform.
 TRANSIENT_PREFIX = "#tmp"
-
-
-class _FallbackNeeded(Exception):
-    """Internal: the query shape needs the explicit (materialising) backend."""
 
 
 # -- conditions -------------------------------------------------------------------------
@@ -259,6 +255,9 @@ class SymbolicRelation:
 class WsdExecutionStats:
     """How many queries each strategy answered (fallbacks are flagged here).
 
+    ``fallback`` is always 0 — the executor no longer enumerates worlds —
+    and is kept only because ``bench/tracing.py`` reads it.
+
     ``aggregate`` counts queries answered by the decomposed (convolution)
     aggregate engine; ``aggregate_fallbacks`` counts aggregate-shaped queries
     whose state space exceeded the engine's budget and dropped to the guarded
@@ -315,9 +314,10 @@ class WSDQueryResult:
       ``(mass, relation)`` pairs, masses summing to one — produced by plain
       aggregate queries (the distribution over whole answers) and by
       ``group worlds by`` (one pair per world group, the group's collected
-      answer under its probability mass);
-    * ``"explicit"`` — the query fell back to guarded materialisation;
-      ``explicit`` holds the explicit backend's result object.
+      answer under its probability mass).
+
+    Every kind is computed on the decomposition; no kind carries a
+    world-enumerated answer.
     """
 
     kind: str
@@ -325,7 +325,6 @@ class WSDQueryResult:
     decomposition: Optional[WorldSetDecomposition] = None
     relation_name: Optional[str] = None
     distribution: Optional[list[tuple[float | None, Relation]]] = None
-    explicit: Any = None
 
 
 # -- helpers over expression / query trees -------------------------------------------------
@@ -476,15 +475,12 @@ class WSDExecutor:
         if not isinstance(query, SelectQuery):
             raise AnalysisError(
                 f"cannot evaluate a {type(query).__name__} as a query")
-        try:
-            working, items = self._resolve_from(self.base, query.from_clause)
-            if query.assert_condition is not None:
-                working = self._apply_assert(working, query.assert_condition)
-            if query.group_worlds_by is not None:
-                return self._evaluate_group_worlds(working, query, items)
-            return self._evaluate_world_query(working, query, items)
-        except _FallbackNeeded:
-            return self._fallback(query)
+        working, items = self._resolve_from(self.base, query.from_clause)
+        if query.assert_condition is not None:
+            working = self._apply_assert(working, query.assert_condition)
+        if query.group_worlds_by is not None:
+            return self._evaluate_group_worlds(working, query, items)
+        return self._evaluate_world_query(working, query, items)
 
     def _evaluate_world_query(self, working: WorldSetDecomposition,
                               query: SelectQuery,
@@ -506,47 +502,39 @@ class WSDExecutor:
         The returned decomposition holds every previous relation (transients
         dropped), plus *name* bound to the query answer, re-normalised.
         """
+        working, schema, entries = self._query_entries(self.base, query)
+        return self._install_entries(working, name, schema, entries,
+                                     keep="session")
+
+    def _query_entries(self, working: WorldSetDecomposition, query: Query
+                       ) -> tuple[WorldSetDecomposition, Schema,
+                                  list[tuple[tuple, list[Condition]]]]:
+        """``(working, schema, entries)`` of *query*'s per-world answer, for
+        ``CREATE TABLE AS``, views, derived tables and set-operation operands.
+
+        *working* comes back extended by FROM resolution and conditioned by
+        ``assert``; each entry ``(row, conditions)`` is one answer-tuple
+        copy.  Collected answers (``conf``, ``possible``, ``certain``) hold
+        in every world, so their rows carry the always-true condition.
+        """
         if isinstance(query, CompoundQuery):
-            try:
-                working, schema, entries = self._compound_source_entries(
-                    self.base, query)
-            except _FallbackNeeded as exc:
-                raise UnsupportedFeatureError(
-                    "this compound query requires world materialisation, "
-                    "which CREATE TABLE AS does not support on the wsd "
-                    "backend") from exc
-            return self._install_entries(working, name, schema, entries,
-                                         keep="session")
-        if not isinstance(query, SelectQuery):
-            raise UnsupportedFeatureError(
-                "CREATE TABLE AS on the wsd backend requires a SELECT "
-                "or compound query")
-        try:
-            working, items = self._resolve_from(self.base, query.from_clause)
-        except _FallbackNeeded as exc:
-            raise UnsupportedFeatureError(
-                "this FROM clause requires world materialisation, which "
-                "CREATE TABLE AS does not support on the wsd backend") from exc
+            return self._compound_source_entries(working, query)
+        working, items = self._resolve_from(working, query.from_clause)
         if query.assert_condition is not None:
             working = self._apply_assert(working, query.assert_condition)
         if query.group_worlds_by is not None:
-            # Install the per-world group answers (each world receives its
-            # group's collected relation, mirroring the explicit backend).
-            # The install needs explicit group *events* as conditions, which
-            # only the guarded component-joint grouping produces.
+            # The group *events* become conditions, which only the guarded
+            # per-joint grouping produces.
             self._require_plain_worldlocal(query.group_worlds_by.query,
                                            "a nested query")
             schema, entries = self._group_worlds_entries(working, query, items)
-            return self._install_entries(working, name, schema, entries,
-                                         keep="session")
-        if query.conf or query.quantifier is not None:
+        elif query.conf or query.quantifier is not None:
             stripped = _strip_world_clauses(query, keep_collection=True)
             result = self._evaluate_world_query(working, stripped, items)
             assert result.kind == "rows" and result.relation is not None
+            schema = result.relation.schema
             entries = [(row, [TRUE_CONDITION]) for row in result.relation.rows]
-            return self._install_entries(working, name, result.relation.schema,
-                                         entries, keep="session")
-        if self._needs_component_joint(query):
+        elif self._needs_component_joint(query):
             # Each joint alternative's answer under its pinned condition.
             core = _strip_world_clauses(query, items=items)
             schema, entries = _entries_from_joints(
@@ -554,8 +542,7 @@ class WSDExecutor:
                 in self._iter_query_joints(working, core))
         else:
             schema, entries = self._symbolic_entries(working, query, items)
-        return self._install_entries(working, name, schema, entries,
-                                     keep="session")
+        return working, schema, entries
 
     # -- FROM resolution ------------------------------------------------------------------
 
@@ -574,56 +561,41 @@ class WSDExecutor:
 
     def _resolve_table_ref(self, working: WorldSetDecomposition, ref: TableRef
                            ) -> tuple[WorldSetDecomposition, tuple[str, str]]:
+        """Resolve one FROM item to ``(working, (relation name, alias))``: a
+        view or derived table becomes a transient relation, a decorated
+        certain source a transient repair / choice."""
         if isinstance(ref, DerivedTableRef):
-            return self._resolve_query_source(working, ref.query, ref.alias,
-                                              ref.repair, ref.choice)
-        if not isinstance(ref, NamedTableRef):
+            query = ref.query
+        elif isinstance(ref, NamedTableRef):
+            query = self.views.get(ref.name.lower())
+        else:
             raise AnalysisError(f"unknown FROM item {ref!r}")
         alias = ref.effective_alias()
-        view_query = self.views.get(ref.name.lower())
-        if view_query is not None:
-            return self._resolve_query_source(working, view_query, alias,
-                                              ref.repair, ref.choice)
-        name = canonical_relation_name(working.template, ref.name)
-        if ref.repair is None and ref.choice is None:
-            return working, (name, alias)
-        if not relation_is_certain(working.template, name):
-            # Repairing / partitioning an uncertain relation multiplies
-            # worlds in a data-dependent way; decompose-then-enumerate.
-            raise _FallbackNeeded
-        relation = materialise_certain(working.template, name)
-        return self._apply_decorations(working, relation, ref.repair,
-                                       ref.choice, alias)
-
-    def _resolve_query_source(self, working: WorldSetDecomposition,
-                              query: Query, alias: str, repair, choice
-                              ) -> tuple[WorldSetDecomposition, tuple[str, str]]:
-        """Resolve a view or derived table into a transient relation."""
-        if isinstance(query, CompoundQuery):
-            working, schema, entries = self._compound_source_entries(working,
-                                                                     query)
+        repair, choice = ref.repair, ref.choice
+        if repair is not None and choice is not None:
+            raise _decoration_refused(
+                "repair by key with choice of on one FROM item")
+        if query is None:
+            name = canonical_relation_name(working.template, ref.name)
+            if repair is None and choice is None:
+                return working, (name, alias)
+            if not relation_is_certain(working.template, name):
+                raise _decoration_refused(
+                    "repair by key / choice of over an uncertain relation")
+            relation = materialise_certain(working.template, name)
         else:
-            self._require_symbolic_plain(query)
-            assert isinstance(query, SelectQuery)
-            working, items = self._resolve_from(working, query.from_clause)
-            schema, entries = self._symbolic_entries(working, query, items)
-        if repair is not None or choice is not None:
+            working, schema, entries = self._query_entries(working, query)
+            if repair is None and choice is None:
+                transient = self._new_transient_name()
+                return self._install_entries(working, transient, schema,
+                                             entries, keep="extend"), \
+                    (transient, alias)
             if not all(any(c.is_true() for c in conds) for _, conds in entries):
-                raise _FallbackNeeded
+                raise _decoration_refused(
+                    "repair by key / choice of over a view or derived table "
+                    "with an uncertain answer")
             relation = Relation(schema.without_qualifiers(),
                                 [row for row, _ in entries], coerce=False)
-            return self._apply_decorations(working, relation, repair, choice,
-                                           alias)
-        transient = self._new_transient_name()
-        working = self._install_entries(working, transient, schema, entries,
-                                        keep="extend")
-        return working, (transient, alias)
-
-    def _apply_decorations(self, working: WorldSetDecomposition,
-                           relation: Relation, repair, choice, alias: str
-                           ) -> tuple[WorldSetDecomposition, tuple[str, str]]:
-        if repair is not None and choice is not None:
-            raise _FallbackNeeded
         transient = self._new_transient_name()
         if repair is not None:
             sub = from_key_repair(relation, repair.attributes,
@@ -633,8 +605,7 @@ class WSDExecutor:
                                  weight=choice.weight, target_name=transient)
         if working.is_probabilistic():
             sub = _uniformise(sub)
-        merged = _merge_decompositions(working, sub)
-        return merged, (transient, alias)
+        return _merge_decompositions(working, sub), (transient, alias)
 
     # -- strategy selection ----------------------------------------------------------------
 
@@ -647,18 +618,6 @@ class WSDExecutor:
             if contains_aggregate(expression) or contains_subquery(expression):
                 return True
         return False
-
-    def _require_symbolic_plain(self, query: Query) -> None:
-        """Raise :class:`_FallbackNeeded` unless *query* is a plain select the
-        symbolic engine can evaluate (views, derived tables)."""
-        if not isinstance(query, SelectQuery):
-            raise _FallbackNeeded
-        if (query.quantifier is not None or query.conf
-                or query.assert_condition is not None
-                or query.group_worlds_by is not None):
-            raise _FallbackNeeded
-        if self._needs_component_joint(query):
-            raise _FallbackNeeded
 
     # -- symbolic evaluation ----------------------------------------------------------------
 
@@ -1506,11 +1465,8 @@ class WSDExecutor:
                 kind="distribution",
                 distribution=_answer_distribution(
                     (weight, answers[0]) for _, answers, weight in joints))
-        try:
-            working, schema, entries = self._compound_source_entries(
-                self.base, query)
-        except _FallbackNeeded:
-            return self._fallback(query)
+        working, schema, entries = self._compound_source_entries(self.base,
+                                                                 query)
         answer = self._install_entries(working, "answer", schema, entries,
                                        keep="answer")
         return WSDQueryResult(kind="wsd", decomposition=answer,
@@ -2147,17 +2103,6 @@ class WSDExecutor:
                  if f.relation.lower() == name.lower()]
         return max(used, default=-1) + 1
 
-    # -- fallback ---------------------------------------------------------------------------------
-
-    def _fallback(self, query: Query) -> WSDQueryResult:
-        """Decompose-then-enumerate: the guarded explicit execution path."""
-        from ..core.executor import Executor
-
-        self.stats.fallback += 1
-        world_set = self.base.to_worldset(self.limit)
-        outcome = Executor(self.views).evaluate_query(query, world_set)
-        return WSDQueryResult(kind="explicit", explicit=outcome)
-
     # -- template bookkeeping ---------------------------------------------------------------------
 
     def _component_index(self, working: WorldSetDecomposition
@@ -2262,6 +2207,14 @@ def _compound_limits_content(query: Query) -> bool:
         return True
     return _compound_limits_content(query.left) \
         or _compound_limits_content(query.right)
+
+
+def _decoration_refused(shape: str) -> UnsupportedFeatureError:
+    """The refusal of a FROM decoration *shape* that multiplies worlds
+    data-dependently: the executor never enumerates worlds."""
+    return UnsupportedFeatureError(
+        f"{shape} multiplies worlds data-dependently, which the wsd "
+        "backend does not support")
 
 
 def _flatten_and(expression: Expression) -> list[Expression]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import product
 
 from ..errors import ResourceBudgetError
-from ..sqlparser.ast_nodes import CompoundQuery, Query, SelectQuery
+from ..sqlparser.ast_nodes import CompoundQuery, Query
 from .decomposition import ensure_enumerable
 
 __all__ = [
@@ -98,23 +98,10 @@ def evaluate_compound_entries(executor, working, query: CompoundQuery,
 
 
 def _operand_entries(executor, working, node: Query, budget: int):
-    """Entries of one operand (nested compounds recurse)."""
+    """Entries of one operand (nested compounds recurse under *budget*)."""
     if isinstance(node, CompoundQuery):
         return evaluate_compound_entries(executor, working, node, budget)
-    assert isinstance(node, SelectQuery)
-    working, items = executor._resolve_from(working, node.from_clause)
-    if executor._needs_component_joint(node):
-        # Aggregates / ORDER BY inside an operand genuinely need per-world
-        # answers; enumerate only the components the operand touches.
-        from .execute import _entries_from_joints, _strip_world_clauses
-
-        core = _strip_world_clauses(node, items=items)
-        schema, entries = _entries_from_joints(
-            (pinned, answers[0]) for pinned, answers, _
-            in executor._iter_query_joints(working, core))
-    else:
-        schema, entries = executor._symbolic_entries(working, node, items)
-    return working, schema, entries
+    return executor._query_entries(working, node)
 
 
 # -- presence DNFs -------------------------------------------------------------------------

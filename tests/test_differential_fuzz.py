@@ -3,7 +3,9 @@
 A Hypothesis-driven generator builds random i-SQL *programs* — repairs and
 choices, self-joins, ``conf`` / ``possible`` / ``certain`` decorations,
 aggregates with GROUP BY / HAVING, ``group worlds by``, compound queries
-(UNION / INTERSECT / EXCEPT, bag and set), ``assert`` conditioning and DML
+(UNION / INTERSECT / EXCEPT, bag and set), ``assert`` conditioning,
+derived tables over plain, ``assert``, ``conf`` and grouped-``sum`` inner
+selects (also run through a view, which must answer alike) and DML
 interleavings (insert / delete / update on the base relation followed by
 re-derivations) — and runs every program through both the explicit
 possible-worlds backend and the WSD-native backend on the same small
@@ -111,9 +113,11 @@ def predicate(draw, alias: str = "") -> str:
 
 
 @st.composite
-def simple_select(draw, decorations=("", "possible ", "certain ")) -> str:
+def simple_select(draw, decorations=("", "possible ", "certain "),
+                  columns=None) -> str:
     decoration = draw(st.sampled_from(list(decorations)))
-    columns = draw(st.sampled_from(["V", "K", "K, V", "*"]))
+    if columns is None:
+        columns = draw(st.sampled_from(["V", "K", "K, V", "*"]))
     where = ""
     if draw(st.booleans()):
         where = f" where {draw(predicate())}"
@@ -121,8 +125,9 @@ def simple_select(draw, decorations=("", "possible ", "certain ")) -> str:
 
 
 @st.composite
-def conf_select(draw) -> str:
-    columns = draw(st.sampled_from(["V", "K", "K, V"]))
+def conf_select(draw, columns=None) -> str:
+    if columns is None:
+        columns = draw(st.sampled_from(["V", "K", "K, V"]))
     where = ""
     if draw(st.booleans()):
         where = f" where {draw(predicate())}"
@@ -196,11 +201,49 @@ def compound_select(draw) -> str:
 
 
 @st.composite
-def assert_select(draw) -> str:
-    main = draw(simple_select(decorations=("possible ", "certain ")))
+def assert_select(draw, columns=None) -> str:
+    main = draw(simple_select(decorations=("possible ", "certain "),
+                              columns=columns))
     negation = draw(st.sampled_from(["", "not "]))
     return (f"{main} assert {negation}exists"
             f"(select * from I where {draw(predicate())});")
+
+
+@st.composite
+def derived_forms(draw) -> tuple[str, str, str]:
+    """One inner select used twice by an outer ``possible`` / ``certain`` /
+    ``conf`` select: inlined as a derived table, and through a view.
+
+    Returns ``(derived_sql, view_sql, outer_over_view_sql)``.  The inner
+    select is a plain select with a predicate, an ``assert`` select, a
+    ``conf`` select or a grouped ``sum``; neither form decorates the derived
+    table with ``repair`` / ``choice``.
+    """
+    kind = draw(st.sampled_from(["plain", "assert", "conf", "sum"]))
+    columns = draw(st.sampled_from(["K", "V", "K, V"]))
+    if kind == "plain":
+        inner = f"select {columns} from I where {draw(predicate())}"
+    elif kind == "assert":
+        inner = draw(assert_select(columns=columns)).rstrip(";")
+    elif kind == "conf":
+        inner = draw(conf_select(columns=columns)).rstrip(";")
+    else:
+        where = f" where {draw(predicate())}" if draw(st.booleans()) else ""
+        inner = f"select K, sum(V) as S from I{where} group by K"
+        columns = "K, S"
+    names = columns.split(", ")
+    decoration = draw(st.sampled_from(["possible ", "certain ", "conf, "]))
+    where = ""
+    if draw(st.booleans()):
+        column = draw(st.sampled_from(names + (["conf"] if kind == "conf"
+                                               else [])))
+        operator = draw(st.sampled_from(["<", ">=", "="]))
+        values = {"K": KEYS, "V": VALUES, "S": tuple(range(0, 16, 3)),
+                  "conf": (0.25, 0.5, 1.0)}[column]
+        where = f" where {column} {operator} {draw(st.sampled_from(values))}"
+    outer = f"select {decoration}{columns} from {{}} d{where};"
+    return (outer.format(f"({inner})"),
+            f"create or replace view Vw as {inner};", outer.format("Vw"))
 
 
 @st.composite
@@ -224,7 +267,7 @@ def statement(draw) -> str:
     branch = draw(st.sampled_from(
         ["simple", "simple", "conf", "self_join", "aggregate",
          "conf_subquery", "group_worlds", "group_worlds", "compound",
-         "compound", "assert", "dml"]))
+         "compound", "assert", "derived", "dml"]))
     if branch == "simple":
         return draw(simple_select()) + ";"
     if branch == "conf":
@@ -241,6 +284,8 @@ def statement(draw) -> str:
         return draw(compound_select())
     if branch == "assert":
         return draw(assert_select())
+    if branch == "derived":
+        return draw(derived_forms())[0]
     return draw(dml_statement())
 
 
@@ -367,6 +412,31 @@ class TestDifferentialFuzz:
                 continue
             actual = wsd.execute(statement_sql)
             assert_statement_parity(statement_sql, expected, actual)
+
+    @given(base_relation(), st.data())
+    @settings(max_examples=fuzz_examples(40), deadline=None, print_blob=True)
+    def test_derived_table_and_view_agree(self, relation, data):
+        """An inner select inlined as a derived table and the same select
+        behind a view answer alike on the wsd backend, and like the
+        explicit backend."""
+        explicit = MayBMS({"R": relation.copy()}, backend="explicit")
+        wsd = MayBMS({"R": relation.copy()}, backend="wsd")
+        setup = _setup_statement(data.draw)
+        for db in (explicit, wsd):
+            db.execute(setup)
+        derived_sql, view_sql, over_view_sql = data.draw(derived_forms())
+        for db in (explicit, wsd):
+            db.execute(view_sql)
+        try:
+            expected = explicit.execute(derived_sql)
+        except ReproError:
+            for statement_sql in (derived_sql, over_view_sql):
+                with pytest.raises(ReproError):
+                    wsd.execute(statement_sql)
+            return
+        for statement_sql in (derived_sql, over_view_sql):
+            assert_statement_parity(statement_sql, expected,
+                                    wsd.execute(statement_sql))
 
     @given(program())
     @settings(max_examples=fuzz_examples(20), deadline=None, print_blob=True)

@@ -38,6 +38,8 @@ from repro.errors import (
     UnknownRelationError,
     UnsupportedFeatureError,
 )
+from repro.sqlparser.ast_nodes import ChoiceOfClause, CreateTableAs
+from repro.sqlparser.parser import parse_statement
 from repro.tracking import attack_possibility_sql, protective_cow_view_sql
 from repro.tracking.queries import group_by_adult_position_sql
 from repro.wsd import WorldSetDecomposition, from_worldset, normalize
@@ -287,6 +289,16 @@ def whale_sessions():
     return explicit, wsd
 
 
+def whale_views_sessions(drop_worlds=True):
+    """:func:`whale_sessions` with the paper's view ``Valid`` (``assert``
+    when *drop_worlds*, else ``where exists``) defined on both backends."""
+    explicit, wsd = whale_sessions()
+    view = protective_cow_view_sql("Valid", drop_worlds=drop_worlds)
+    explicit.execute(view)
+    wsd.execute(view)
+    return explicit, wsd
+
+
 def cleaning_sessions():
     """Both backends after the cleaning pipeline of Figures 5-7."""
     explicit = MayBMS({"R": cleaning_relation_r()}, backend="explicit")
@@ -391,13 +403,10 @@ def test_whale_scenario_backends_agree(query):
 
 @pytest.mark.parametrize("drop_worlds, query", WHALE_VIEW_CORPUS)
 def test_whale_views_backends_agree(drop_worlds, query):
-    """The Valid / Valid' views agree across backends; the wsd backend may
-    answer them through its counted world-materialising fallback."""
-    explicit, wsd = whale_sessions()
-    view = protective_cow_view_sql("Valid", drop_worlds=drop_worlds)
-    explicit.execute(view)
-    wsd.execute(view)
-    assert_answers_agree(wsd.execute(query), explicit.execute(query), query)
+    """The Valid / Valid' views agree across backends, answered on the
+    decomposition."""
+    explicit, wsd = whale_views_sessions(drop_worlds)
+    assert_native_answer_agrees(explicit, wsd, query)
 
 
 @pytest.mark.parametrize("query", CLEANING_CORPUS)
@@ -749,6 +758,21 @@ SELF_JOIN_GUARDED_CORPUS = [
 ]
 
 
+#: ORDER BY a qualified column, on one table and on a self-join: the key
+#: sorts by the select item it names.  Each select list is exactly its sort
+#: keys in one direction, so every answer must come out sorted.
+QUALIFIED_ORDER_BY_CORPUS = [
+    ("select i2.Id from I i2 order by i2.Id;", False),
+    ("select Id from I order by I.Id;", False),
+    ("select i2.Id as X from I i2 order by i2.Id;", False),
+    ("select possible i2.Id, i3.Id from I i2, I i3 where i2.Id < i3.Id "
+     "order by i2.Id, i3.Id;", False),
+    ("select Id from I order by I.Id desc;", True),
+    ("select possible i2.Id, i3.Id from I i2, I i3 where i2.Id < i3.Id "
+     "order by i2.Id desc, i3.Id desc;", True),
+]
+
+
 class TestSelfJoins:
     """A FROM clause naming one relation under several aliases instantiates
     that relation once per joint alternative, and answers like the explicit
@@ -772,6 +796,20 @@ class TestSelfJoins:
                              query)
         assert wsd.backend.stats.component_joint >= 1
         assert wsd.backend.stats.fallback == 0
+
+    @pytest.mark.parametrize("query, descending", QUALIFIED_ORDER_BY_CORPUS)
+    def test_order_by_qualified_column(self, query, descending):
+        explicit, wsd = whale_sessions()
+        expected = explicit.execute(query)
+        actual = wsd.execute(query)
+        assert_answers_agree(actual, expected, query)
+        for result in (expected, actual):
+            answers = ([result.relation] if result.is_rows()
+                       else [answer.relation
+                             for answer in result.world_answers])
+            for answer in answers:
+                assert answer.rows == sorted(answer.rows,
+                                             reverse=descending), query
 
     def test_guarded_grouping_self_join(self):
         explicit, wsd = whale_sessions()
@@ -876,3 +914,121 @@ class TestDdlDmlParity:
         explicit, wsd = build_sessions(WEIGHTED_SETUP)
         assert run_on_both(explicit, wsd, statement) is None
         assert_queries_agree(explicit, wsd, ["select * from P;"])
+
+
+#: Views and derived tables the wsd backend answers through its one
+#: query-to-entries routine, over Figure 3 with the view ``Valid`` defined:
+#: ``assert``, ``conf`` and quantified inner queries, ``where exists``,
+#: ORDER BY / LIMIT and aggregate inner queries (guarded per-joint path), a
+#: self-join of a view and a view over a view.
+DERIVED_TABLE_CORPUS = [
+    "select possible * from (select * from I assert exists "
+    "(select * from I where Gender='cow' and Pos='b')) v;",
+    "select possible * from (select conf, Id from I where Gender='cow') d "
+    "where conf > 0.3;",
+    "select certain * from (select possible Id, Pos from I) d;",
+    "select possible * from (select * from I where exists "
+    "(select * from I where Gender='cow' and Pos='b')) d;",
+    "select possible * from (select Id, Pos from I order by Id limit 2) d;",
+    "select possible * from (select sum(Id) as S from I where Pos='b') d;",
+    "select possible a.Id, b.Id from Valid a, Valid b where a.Id < b.Id;",
+    "select conf, a.Pos from Valid a, Valid b "
+    "where a.Id = 1 and b.Id = 2 and a.Pos <> b.Pos;",
+    "select possible * from Cows;",
+    "select conf, Id, Pos from Cows;",
+]
+
+#: A view over the view ``Valid``.
+COWS_VIEW = "create view Cows as select Id, Pos from Valid where Gender='cow';"
+
+
+class TestViewsAndDerivedTables:
+    """Views and derived tables are answered on the decomposition — the
+    wsd executor never enumerates worlds — exactly as the explicit backend
+    answers them."""
+
+    @pytest.mark.parametrize("query", DERIVED_TABLE_CORPUS)
+    def test_answered_natively(self, query):
+        explicit, wsd = whale_views_sessions()
+        explicit.execute(COWS_VIEW)
+        wsd.execute(COWS_VIEW)
+        assert_native_answer_agrees(explicit, wsd, query)
+
+    @pytest.mark.parametrize("drop_worlds", [True, False],
+                             ids=["assert", "where-exists"])
+    def test_create_table_as_from_view(self, drop_worlds):
+        explicit, wsd = whale_views_sessions(drop_worlds)
+        statement = "create table T as select * from Valid;"
+        explicit.execute(statement)
+        with forbid_world_enumeration():
+            wsd.execute(statement)
+        for query in ["select possible * from T;", "select certain * from T;",
+                      "select conf, Id, Pos from T;"]:
+            assert_native_answer_agrees(explicit, wsd, query)
+
+    @pytest.mark.parametrize("inner", [
+        "select * from I assert exists "
+        "(select * from I where Gender='cow' and Pos='b')",
+        "select Id, Pos from I where exists "
+        "(select * from I where Gender='cow' and Pos='b')",
+        "select conf, Id from I where Pos='b'",
+        "select Id, Pos from I order by Id desc limit 2",
+        "select Pos, sum(Id) as S from I group by Pos",
+    ])
+    @pytest.mark.parametrize("outer", ["possible", "certain"])
+    def test_view_derived_table_and_create_table_as_agree(self, inner, outer):
+        """Metamorphic: one inner query as a view, inlined as a derived
+        table, and installed by CREATE TABLE AS gives one answer."""
+        forms = [
+            (f"create view Vw as {inner};", "Vw"),
+            (None, f"({inner}) d"),
+            (f"create table Tw as {inner};", "Tw"),
+        ]
+        answers = []
+        for setup, source in forms:
+            _, wsd = whale_sessions()
+            with forbid_world_enumeration():
+                if setup is not None:
+                    wsd.execute(setup)
+                result = wsd.execute(f"select {outer} * from {source};")
+            answers.append(canonical_rows(result.rows()))
+        assert answers[0] == answers[1] == answers[2], inner
+
+
+def refused_statements(sql, choice=None):
+    """The select *sql* and ``CREATE TABLE T AS`` it, as parsed statements.
+    *choice* adds ``choice of`` to the first FROM item, which already
+    carries ``repair by key`` — a combination the grammar cannot spell."""
+    select = parse_statement(sql)
+    if choice is not None:
+        select.from_clause[0].choice = ChoiceOfClause([choice])
+    return select, CreateTableAs("T", select)
+
+
+class TestDecorationRefusals:
+    """``repair by key`` / ``choice of`` FROM items that multiply worlds
+    data-dependently are refused by the wsd backend — for SELECT and
+    CREATE TABLE AS alike, with one message — because answering them would
+    need world enumeration.  The explicit backend answers them: the tests
+    document the gap."""
+
+    @pytest.mark.parametrize("sql, choice", [
+        ("select possible * from (select Pos from I repair by key Id) d;",
+         None),
+        ("select possible * from (select Id, Pos from I) d "
+         "repair by key Id;", None),
+        ("select possible * from (select possible Id, Pos from I) d "
+         "repair by key Id;", "Pos"),
+    ], ids=["uncertain-relation", "uncertain-derived-table",
+            "repair-and-choice"])
+    def test_refused_on_wsd_answered_on_explicit(self, sql, choice):
+        explicit, wsd = whale_sessions()
+        messages = []
+        for statement in refused_statements(sql, choice):
+            with pytest.raises(UnsupportedFeatureError) as caught:
+                wsd.execute_statement(statement)
+            messages.append(str(caught.value))
+            explicit.execute_statement(statement)
+        assert messages[0] == messages[1]
+        assert "multiplies worlds" in messages[0]
+        assert explicit.execute("select possible * from T;").rows()
