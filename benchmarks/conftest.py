@@ -199,3 +199,12 @@ def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:
     for row in rendered:
         print(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
 
+
+
+def row_confidences(db, name: str, rows) -> list[float]:
+    """``conf`` of each of *rows* being in relation *name*, asked in I-SQL
+    on the wsd session *db* (one ``select conf ... where`` per row)."""
+    columns = db.decomposition.template.schemas[name].columns
+    sql = (f"select conf from {name} where "
+           + " and ".join(f"{column.name} = ?" for column in columns) + ";")
+    return [db.execute(sql, list(row)).scalar() for row in rows]

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import MayBMS
 from repro.workloads import DirtyRelationSpec, dirty_key_relation
 from repro.worldset import WorldSet, repair_by_key
 from repro.wsd import from_worldset, is_normalized, normalize
 
-from conftest import print_table
+from conftest import print_table, row_confidences
 
 SPECS = [DirtyRelationSpec(groups=g, options=2, seed=11) for g in (2, 4, 6, 8)]
 
@@ -60,9 +61,15 @@ def test_abl1_confidence_cost_unnormalised_vs_normalised():
     normalised = normalize(raw)
     probe = explicit.worlds[0].relation("I").rows[0]
 
-    fast = normalised.tuple_confidence("I", probe)
-    slow = raw.tuple_confidence("I", probe)
+    sessions = []
+    for decomposition in (normalised, raw):
+        db = MayBMS(backend="wsd")
+        db.decomposition = decomposition
+        sessions.append(db)
+    fast, slow = [row_confidences(db, "I", [probe])[0] for db in sessions]
     assert fast == pytest.approx(slow)
+    for db in sessions:
+        assert db.backend.confidence_stats.enumeration_fallbacks == 0
     print_table("ABL-1: tuple confidence agrees across representations",
                 ["representation", "components", "conf"],
                 [("unnormalised", len(raw.components), round(slow, 4)),

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import MayBMS
 from repro.workloads import dirty_key_relation
 from repro.worldset import WorldSet, repair_by_key
-from repro.wsd import from_key_repair
 
-from conftest import print_table, scale2_specs
+from conftest import print_table, row_confidences, scale2_specs
 
 FEASIBLE_SPEC, LARGE_SPEC = scale2_specs()
 
@@ -35,9 +35,20 @@ def explicit_confidences(relation, rows):
     return confidences
 
 
-def wsd_confidences(relation, rows):
-    wsd = from_key_repair(relation, ["K"], weight="W", target_name="I")
-    return [wsd.tuple_confidence("I", row) for row in rows]
+def wsd_session(relation):
+    """A wsd session holding the weighted key repair I of *relation*."""
+    db = MayBMS({"Dirty": relation}, backend="wsd")
+    db.execute("create table I as select * from Dirty "
+               "repair by key K weight W;")
+    return db
+
+
+def wsd_confidences(db, rows):
+    confidences = row_confidences(db, "I", rows)
+    # Every confidence is read off the decomposition: no joint enumeration.
+    assert db.backend.stats.component_joint == 0
+    assert db.backend.confidence_stats.enumeration_fallbacks == 0
+    return confidences
 
 
 def test_scale2_explicit_backend_small_point():
@@ -55,7 +66,7 @@ def test_scale2_wsd_backend_small_point_matches_explicit():
     relation = dirty_key_relation(FEASIBLE_SPEC)
     probe_rows = relation.rows[:8]
     expected = explicit_confidences(relation, probe_rows)
-    measured = wsd_confidences(relation, probe_rows)
+    measured = wsd_confidences(wsd_session(relation), probe_rows)
     for have, want in zip(measured, expected):
         assert have == pytest.approx(want)
     print_table("SCALE-2: WSD backend agrees with explicit enumeration",
@@ -69,9 +80,10 @@ def test_scale2_wsd_backend_handles_infeasible_point():
     decomposition."""
     relation = dirty_key_relation(LARGE_SPEC)
     probe_rows = relation.rows[:8]
-    measured = wsd_confidences(relation, probe_rows)
+    db = wsd_session(relation)
+    measured = wsd_confidences(db, probe_rows)
     assert all(0 < value <= 1 for value in measured)
-    wsd = from_key_repair(relation, ["K"], weight="W", target_name="I")
+    wsd = db.decomposition
     print_table("SCALE-2: WSD backend on 4^60 worlds",
                 ["log10(worlds)", "WSD cells", "max conf queried"],
                 [(round(wsd.log10_world_count(), 1), wsd.storage_size(),

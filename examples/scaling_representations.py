@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 
+from repro import MayBMS
 from repro.workloads import DirtyRelationSpec, dirty_key_relation
 from repro.worldset import WorldSet, repair_by_key
 from repro.wsd import from_key_repair, normalize
@@ -39,8 +40,11 @@ def measure_point(groups: int, options: int, explicit_limit: int = 5000) -> dict
     wsd = from_key_repair(relation, ["K"], weight="W", target_name="I")
     point["wsd cells"] = wsd.storage_size()
     point["wsd build ms"] = (time.perf_counter() - start) * 1000
-    probe = relation.rows[0][:-1] + (relation.rows[0][-1],)
-    point["wsd conf"] = wsd.tuple_confidence("I", relation.rows[0])
+    db = MayBMS(backend="wsd")
+    db.decomposition = wsd
+    where = " and ".join(f"{column.name} = ?" for column in relation.schema)
+    point["wsd conf"] = db.execute(f"select conf from I where {where};",
+                                   list(relation.rows[0])).scalar()
 
     if spec.expected_world_count() <= explicit_limit:
         start = time.perf_counter()

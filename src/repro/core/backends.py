@@ -56,7 +56,6 @@ from ..wsd.approximate import AnytimeBudget
 from ..wsd.budgets import ResourceBudgets
 from ..wsd.construct import add_certain_relation
 from ..wsd.decomposition import Template, WorldSetDecomposition
-from ..wsd.plan_cache import SharedPlanCache
 from ..wsd.execute import (
     AggregateStats,
     ConfidenceStats,
@@ -129,20 +128,13 @@ class ExecutionBackend:
     degradation: str
 
     def execute_statement(self, statement: Statement,
-                          prepared_plans: SharedPlanCache | None = None,
                           options: QueryOptions | None = None
                           ) -> StatementResult:
         """Execute one parsed statement.
 
-        *prepared_plans* is a :class:`~repro.wsd.plan_cache.SharedPlanCache`
-        — by default the process-wide
-        :data:`~repro.wsd.plan_cache.GLOBAL_PLAN_CACHE`, which every thread
-        and session shares because compiled plans are immutable; backends
-        that compile plans pass it down so repeated executions (from any
-        thread) skip shape analysis.  *options*
-        carries per-request overrides (deadline, target ε, degradation
-        mode); backends without an approximate tier accept and ignore the
-        sampling-related fields.
+        *options* carries per-request overrides (deadline, target ε,
+        degradation mode); backends without an approximate tier accept and
+        ignore the sampling-related fields.
         """
         raise NotImplementedError
 
@@ -179,8 +171,8 @@ def _reorder_row(schema: Schema, row: tuple,
 
 
 def _explicit_result(outcome: WorldQueryResult) -> StatementResult:
-    """The statement result of an explicit per-world query evaluation (the
-    explicit backend's answers and the wsd backend's guarded fallback)."""
+    """The statement result of the explicit backend's per-world query
+    evaluation."""
     if outcome.collected is not None:
         return StatementResult(kind="rows", relation=outcome.collected,
                                world_set=outcome.world_set)
@@ -310,12 +302,10 @@ class ExplicitBackend(ExecutionBackend):
     # -- statement execution --------------------------------------------------------------------
 
     def execute_statement(self, statement: Statement,
-                          prepared_plans: SharedPlanCache | None = None,
                           options: QueryOptions | None = None
                           ) -> StatementResult:
-        # The explicit backend plans per world from scratch (star expansion
-        # needs each world's catalog), so prepared plans do not apply; it
-        # has no approximate tier either, so options only get validated.
+        # The explicit backend has no approximate tier, so options only get
+        # validated.
         QueryOptions.coerce(options)
         if isinstance(statement, (SelectQuery, CompoundQuery)):
             return self._execute_query(statement)
@@ -578,9 +568,9 @@ class WsdBackend(ExecutionBackend):
         self.anytime = anytime if anytime is not None else AnytimeBudget()
         #: Accumulated per-strategy counters across all executed statements
         #: (symbolic / aggregate / grouping / setops / component_joint
-        #: tiers, plus the fallback, aggregate_fallbacks and group_fallbacks
-        #: escape counters and the grounding-cache hit / miss / eviction
-        #: accounting).
+        #: tiers, the aggregate_fallbacks and group_fallbacks escapes to the
+        #: guarded per-joint path, and the grounding-cache hit / miss /
+        #: eviction accounting).
         self.stats = WsdExecutionStats()
         #: Accumulated confidence-computation counters (closed forms, d-tree
         #: rule firings, memo hits and — crucially for CI — enumeration
@@ -669,15 +659,13 @@ class WsdBackend(ExecutionBackend):
     # -- statement execution --------------------------------------------------------------------
 
     def execute_statement(self, statement: Statement,
-                          prepared_plans: SharedPlanCache | None = None,
                           options: QueryOptions | None = None
                           ) -> StatementResult:
         options = QueryOptions.coerce(options)
         if isinstance(statement, (SelectQuery, CompoundQuery)):
-            return self._execute_query(statement, prepared_plans, options)
+            return self._execute_query(statement, options)
         if isinstance(statement, CreateTableAs):
-            return self._execute_create_table_as(statement, prepared_plans,
-                                                 options)
+            return self._execute_create_table_as(statement, options)
         if isinstance(statement, CreateView):
             return self._execute_create_view(statement)
         if isinstance(statement, CreateTable):
@@ -708,13 +696,11 @@ class WsdBackend(ExecutionBackend):
 
     # -- queries -------------------------------------------------------------------------------------
 
-    def _executor(self, plan_cache: SharedPlanCache | None = None,
-                  options: QueryOptions | None = None) -> WSDExecutor:
+    def _executor(self, options: QueryOptions | None = None) -> WSDExecutor:
         options = QueryOptions.coerce(options)
         return WSDExecutor(self.decomposition, self.views,
                            ground_cache=self._ground_cache,
                            ground_lock=self._ground_lock,
-                           plan_cache=plan_cache,
                            budgets=self.budgets,
                            degradation=options.resolve_degradation(
                                self.degradation),
@@ -727,10 +713,9 @@ class WsdBackend(ExecutionBackend):
             _merge_counters(self.aggregate_stats, executor.aggregate_stats)
 
     def _execute_query(self, query: Query,
-                       plan_cache: SharedPlanCache | None = None,
                        options: QueryOptions | None = None
                        ) -> StatementResult:
-        executor = self._executor(plan_cache, options)
+        executor = self._executor(options)
         try:
             result = executor.evaluate_query(query)
         finally:
@@ -754,14 +739,13 @@ class WsdBackend(ExecutionBackend):
                                approximation=approximation)
 
     def _execute_create_table_as(self, statement: CreateTableAs,
-                                 plan_cache: SharedPlanCache | None = None,
                                  options: QueryOptions | None = None
                                  ) -> StatementResult:
         # CREATE TABLE AS replaces an existing relation of the same name,
         # mirroring the explicit backend's materialisation semantics.
         # Install paths never sample (see _iter_query_joints), so the
         # options only arm confidence-side degradation and the deadline.
-        executor = self._executor(plan_cache, options)
+        executor = self._executor(options)
         try:
             self.decomposition = executor.evaluate_for_install(
                 statement.name, statement.query)
@@ -807,9 +791,9 @@ class WsdBackend(ExecutionBackend):
                 rows = [t.cells for t in tuples]
             elif outcome.kind == "world_rows" and outcome.world_answers:
                 # Accept the insert when every world produced the same
-                # answer, mirroring the explicit backend: distribution
-                # results carry one entry per distinct answer, fallback
-                # results one entry per world, so dedup by fingerprint.
+                # answer, mirroring the explicit backend: a distribution
+                # carries one entry per distinct answer, so exactly one
+                # fingerprint means a world-independent answer.
                 distinct = {answer.relation.fingerprint()
                             for answer in outcome.world_answers}
                 if len(distinct) != 1:

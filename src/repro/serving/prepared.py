@@ -92,15 +92,16 @@ class PreparedStatement:
         #: for purely in-memory sessions.
         self._store = store
         self._write_timeout = write_timeout
-        # Compiled plans are immutable (evaluation state lives in
-        # per-execution EvalSlots), so every statement — and every thread —
-        # shares the one process-wide cache.
-        self._plans = GLOBAL_PLAN_CACHE
 
     @property
     def plans(self) -> SharedPlanCache:
-        """The process-wide compiled-plan cache all executions share."""
-        return self._plans
+        """The process-wide compiled-plan cache all executions share.
+
+        Compiled plans are immutable (evaluation state lives in
+        per-execution EvalSlots), so every statement — and every thread —
+        shares the one cache.
+        """
+        return GLOBAL_PLAN_CACHE
 
     def execute(self, parameters: Sequence[Any] = (),
                 options: "QueryOptions | dict | None" = None
@@ -134,8 +135,7 @@ class PreparedStatement:
             try:
                 with bound_parameters(parameters):
                     result = self._backend.execute_statement(
-                        self.statement, prepared_plans=self.plans,
-                        options=options)
+                        self.statement, options=options)
                 generation = self._lock.generation
             finally:
                 self._lock.release_read()
@@ -149,8 +149,7 @@ class PreparedStatement:
                     self._store.check_writable()
                 with bound_parameters(parameters):
                     result = self._backend.execute_statement(
-                        self.statement, prepared_plans=self.plans,
-                        options=options)
+                        self.statement, options=options)
                 if self._store is not None:
                     # Log-before-release: the record carries the generation
                     # the release below will publish, so WAL order is

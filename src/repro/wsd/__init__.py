@@ -17,6 +17,7 @@ from .budgets import ResourceBudgets
 from .component import Alternative, Component
 from .confidence import (
     DEFAULT_NODE_BUDGET,
+    ConfidenceLadder,
     ConfidenceStats,
     DTreeBudgetExceededError,
     DTreeEngine,
@@ -68,6 +69,7 @@ __all__ = [
     "Alternative",
     "Component",
     "Condition",
+    "ConfidenceLadder",
     "ConfidenceStats",
     "DEFAULT_CLAUSE_BUDGET",
     "DEFAULT_ENUMERATION_LIMIT",

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import AggregateError, ResourceBudgetError
@@ -66,6 +65,7 @@ from ..relational.schema import Schema
 from ..relational.types import sql_compare
 from ..sqlparser.ast_nodes import NamedTableRef, SelectQuery
 from .confidence import connected_groups
+from .decomposition import joint_alternatives
 
 __all__ = [
     "AggregateBudgetExceededError",
@@ -325,13 +325,8 @@ class DecomposedAggregator:
         if self.budget is not None and joint > self.budget:
             raise AggregateBudgetExceededError(
                 self.budget, f"cluster joint of {joint} alternatives")
-        masses = [self.components[index].effective_probabilities()
-                  for index in involved]
-        ranges = [range(len(self.components[index])) for index in involved]
-        for combo in product(*ranges):
-            weight = 1.0
-            for position, alt_index in enumerate(combo):
-                weight *= masses[position][alt_index]
+        for combo, weight in joint_alternatives(self.components, involved,
+                                                None):
             yield dict(zip(involved, combo)), weight
 
     def _charge_states(self, distribution: dict) -> None:

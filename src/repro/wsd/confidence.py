@@ -28,23 +28,37 @@ Results are memoised on a canonical DNF key, so subtrees shared between
 Shannon branches are computed once — this is what makes the recursion
 polynomial for hierarchical DNFs (e.g. chains produced by self-joins over
 key-repaired relations).  A node budget guards the non-hierarchical worst
-case: exceeding it raises :class:`DTreeBudgetExceededError`, and callers fall
-back to guarded joint enumeration (counted in
+case: exceeding it raises :class:`DTreeBudgetExceededError`.
+
+:class:`ConfidenceLadder` is the one place that decides how a DNF is
+answered: linear closed forms, then the d-tree, then guarded joint
+enumeration of the touched components (counted in
 :attr:`ConfidenceStats.enumeration_fallbacks`, so benchmarks and CI can
-assert the scalable query classes never enumerate).
+assert the scalable query classes never enumerate), and — only under
+``degradation="anytime"`` and only when both exact escapes are over budget
+— anytime Monte-Carlo sampling (:mod:`repro.wsd.approximate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..errors import ResourceBudgetError
 from .component import Component
+from .decomposition import DEFAULT_ENUMERATION_LIMIT, joint_alternatives
+
+if TYPE_CHECKING:
+    from .approximate import (
+        AnytimeBudget,
+        AnytimeSampler,
+        ApproximateConfidence,
+    )
 
 __all__ = [
     "Atom",
     "Clause",
+    "ConfidenceLadder",
     "ConfidenceStats",
     "DTreeBudgetExceededError",
     "DTreeEngine",
@@ -179,7 +193,7 @@ class DTreeEngine:
         self.stats = stats if stats is not None else ConfidenceStats()
         self.node_budget = node_budget
         self._nodes = 0
-        self._sizes = [len(component) for component in components]
+        self._sizes = [len(component.alternatives) for component in components]
         self._masses: dict[int, Sequence[float]] = {}
         self._prob_memo: dict[frozenset[Clause], float] = {}
         self._taut_memo: dict[frozenset[Clause], bool] = {}
@@ -348,6 +362,151 @@ class DTreeEngine:
                     break
                 residual.add(reduced)
             yield mass, (None if residual is None else frozenset(residual))
+
+
+class ConfidenceLadder:
+    """Answers ``P(DNF)`` and "DNF holds in every world" over one component
+    list, cheapest rung first.
+
+    1. **Closed forms** — a single clause multiplies its atom masses; a
+       disjunction of single-atom clauses is ``1 - prod_c (1 - P(event_c))``
+       over the per-component unions.  Both assume the invariant of
+       :class:`~repro.wsd.execute.Condition`: no stored atom covers its
+       whole component, so one clause holds in some worlds but not all, and
+       a disjunction covers every world only when a merged union does.
+    2. **The d-tree** (:class:`DTreeEngine`), exact under its node budget.
+    3. **Guarded joint enumeration** of the touched components
+       (:func:`~repro.wsd.decomposition.joint_alternatives`, guarded by
+       *limit*), counted in :attr:`ConfidenceStats.enumeration_fallbacks`.
+    4. **Anytime sampling** — :meth:`probability` only, only under
+       ``degradation="anytime"``, and only when the d-tree is over budget
+       *and* the joint exceeds *limit*.
+
+    The ladder keeps its d-tree engine (and, once needed, its sampler) for
+    its whole life, so every DNF asked of one ladder shares the d-tree memo
+    and the sampler's mass tables.  A clause is any sequence of
+    ``(component index, allowed set)`` atoms; the empty clause is true.
+    """
+
+    def __init__(self, components: Sequence[Component],
+                 stats: ConfidenceStats | None = None,
+                 limit: int | None = DEFAULT_ENUMERATION_LIMIT,
+                 node_budget: int | None = DEFAULT_NODE_BUDGET,
+                 degradation: str = "strict",
+                 anytime: AnytimeBudget | None = None) -> None:
+        self.components = components
+        self.stats = stats if stats is not None else ConfidenceStats()
+        self.limit = limit
+        self.degradation = degradation
+        self.anytime = anytime
+        self.engine = DTreeEngine(components, stats=self.stats,
+                                  node_budget=node_budget)
+        self._sampler: AnytimeSampler | None = None
+
+    @property
+    def sampler(self) -> AnytimeSampler:
+        """The anytime sampler over these components, built on first use."""
+        if self._sampler is None:
+            # approximate.py imports this module, so import it lazily.
+            from .approximate import AnytimeBudget, AnytimeSampler
+
+            self._sampler = AnytimeSampler(
+                self.components,
+                self.anytime if self.anytime is not None
+                else AnytimeBudget())
+        return self._sampler
+
+    def probability(self, clauses: Sequence[Sequence[Atom]]
+                    ) -> tuple[float, ApproximateConfidence | None]:
+        """``(mass, approximation)`` of the disjunction of *clauses*.
+
+        *approximation* is ``None`` whenever the mass is exact; otherwise it
+        is the sampler's :class:`~repro.wsd.approximate.ApproximateConfidence`
+        for the caller to record.
+        """
+        if any(not clause for clause in clauses):
+            return 1.0, None
+        if not clauses:
+            return 0.0, None
+        closed = self._closed_form(clauses)
+        if closed is not None:
+            self.stats.closed_form += 1
+            return closed[0], None
+        try:
+            return self.engine.probability(clauses), None
+        except DTreeBudgetExceededError:
+            if self.degradation == "anytime" and not self.enumerable(clauses):
+                approximation = self.sampler.dnf_confidence(clauses)
+                if approximation.exact:
+                    return approximation.value, None
+                return approximation.value, approximation
+            self.stats.enumeration_fallbacks += 1
+            return self._enumerate(clauses)[0], None
+
+    def covers(self, clauses: Sequence[Sequence[Atom]]) -> bool:
+        """True when the disjunction of *clauses* holds in every world
+        (``certain``): the same rungs as :meth:`probability`, never
+        sampled."""
+        if any(not clause for clause in clauses):
+            return True
+        if not clauses:
+            return False
+        closed = self._closed_form(clauses)
+        if closed is not None:
+            return closed[1]
+        try:
+            return self.engine.is_tautology(clauses)
+        except DTreeBudgetExceededError:
+            self.stats.enumeration_fallbacks += 1
+            return self._enumerate(clauses)[1]
+
+    def enumerable(self, clauses: Sequence[Sequence[Atom]]) -> bool:
+        """True when the joint of the components *clauses* touch fits the
+        enumeration limit."""
+        if self.limit is None:
+            return True
+        joint = 1
+        for index in {index for clause in clauses for index, _ in clause}:
+            joint *= len(self.components[index])
+            if joint > self.limit:
+                return False
+        return True
+
+    def _closed_form(self, clauses: Sequence[Sequence[Atom]]
+                     ) -> Optional[tuple[float, bool]]:
+        """``(probability, covers)`` via a linear closed form, if one
+        applies (see the class docstring for the invariant it needs)."""
+        if len(clauses) == 1:
+            return self.engine.clause_probability(clauses[0]), False
+        if not all(len(clause) == 1 for clause in clauses):
+            return None
+        merged: dict[int, frozenset[int]] = {}
+        for ((index, allowed),) in clauses:
+            merged[index] = merged.get(index, frozenset()) | allowed
+        miss = 1.0
+        covers = False
+        for index, union in merged.items():
+            miss *= 1.0 - self.engine.atom_mass(index, union)
+            if len(union) == len(self.components[index].alternatives):
+                covers = True
+        return 1.0 - miss, covers
+
+    def _enumerate(self, clauses: Sequence[Sequence[Atom]]
+                   ) -> tuple[float, bool]:
+        """``(probability, holds-in-every-world)`` over the guarded joint of
+        the touched components — exponential; the d-tree's budget escape."""
+        involved = sorted({index for clause in clauses for index, _ in clause})
+        position = {index: offset for offset, index in enumerate(involved)}
+        total = 0.0
+        covers = True
+        for combo, weight in joint_alternatives(self.components, involved,
+                                                self.limit):
+            if any(all(combo[position[index]] in allowed
+                       for index, allowed in clause) for clause in clauses):
+                total += weight
+            else:
+                covers = False
+        return total, covers
 
 
 # -- clause-set structure helpers ----------------------------------------------------------

@@ -16,9 +16,11 @@ while storing only ``sum_i |fields_i| * k_i`` cells — this is the
 representation behind the "10^10^6 worlds" argument of the companion papers.
 
 The class supports enumeration (guarded, for testing and for conversion to the
-explicit backend), exact confidence computation that only touches the relevant
-components, conditioning (``assert`` restricted to template predicates), and
-normalisation into maximally factorised form (see :mod:`repro.wsd.normalize`).
+explicit backend), conditioning (``assert`` restricted to template predicates),
+and normalisation into maximally factorised form (see
+:mod:`repro.wsd.normalize`).  Questions about a decomposition are asked in
+I-SQL through a session; :func:`joint_alternatives` is the one guarded
+iterator over the joint alternatives of a subset of components.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .component import Component
 from .fields import Field
 
 __all__ = ["TemplateTuple", "Template", "WorldSetDecomposition",
-           "DEFAULT_ENUMERATION_LIMIT", "ensure_enumerable"]
+           "DEFAULT_ENUMERATION_LIMIT", "ensure_enumerable",
+           "joint_alternatives"]
 
 #: Enumeration guard: converting a WSD to an explicit world-set refuses to
 #: materialise more worlds than this unless the caller raises the limit.
@@ -50,12 +53,36 @@ def ensure_enumerable(world_count: int, limit: int | None,
     """Raise :class:`EnumerationLimitError` when *world_count* exceeds *limit*.
 
     This is the single enumeration guard shared by explicit materialisation
-    (:meth:`WorldSetDecomposition.iter_assignments`) and the WSD-native
-    executor's joint component enumeration.  A *limit* of ``None`` disables
-    the guard.
+    (:meth:`WorldSetDecomposition.iter_assignments`) and joint component
+    enumeration, whose one iterator is :func:`joint_alternatives`.  A
+    *limit* of ``None`` disables the guard.
     """
     if limit is not None and world_count > limit:
         raise EnumerationLimitError(world_count, limit, operation=operation)
+
+
+def joint_alternatives(components: Sequence[Component],
+                       involved: Sequence[int], limit: int | None,
+                       operation: str = "jointly enumerate"
+                       ) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Yield ``(combo, weight)`` per joint alternative of the *involved*
+    components.
+
+    *combo* aligns with *involved* (one alternative index per component) and
+    *weight* is the product of the chosen alternatives' effective
+    probabilities.  The joint size is checked against *limit* by
+    :func:`ensure_enumerable` before anything is yielded; ``None`` disables
+    the check for callers that guard with their own budget.
+    """
+    ensure_enumerable(math.prod(len(components[index]) for index in involved),
+                      limit, operation=operation)
+    masses = [components[index].effective_probabilities()
+              for index in involved]
+    for combo in product(*(range(len(mass)) for mass in masses)):
+        weight = 1.0
+        for mass, alternative in zip(masses, combo):
+            weight *= mass[alternative]
+        yield combo, weight
 
 
 @dataclass(slots=True)
@@ -284,159 +311,6 @@ class WorldSetDecomposition:
         world_set = WorldSet(worlds)
         world_set.relabel()
         return world_set
-
-    # -- confidence ------------------------------------------------------------------
-
-    def tuple_confidence(self, relation: str, row: Sequence[Any]) -> float:
-        """Exact confidence that *relation* contains *row*.
-
-        The event "some template tuple instantiates to *row*" compiles into a
-        DNF over (component, allowed-alternative-set) atoms — one clause per
-        candidate template tuple — and is evaluated exactly by the d-tree
-        engine via :meth:`dnf_confidence`: independent clauses multiply out,
-        exclusive clauses add, and shared components Shannon-expand.
-        Components no candidate touches are never looked at, and no joint
-        enumeration happens unless the d-tree budget is exceeded (then the
-        guarded joint enumeration of the touched components runs).
-        """
-        row = tuple(row)
-        candidates = [t for t in self.template.relation_tuples(relation)
-                      if self._could_match(t, row)]
-        if not candidates:
-            return 0.0
-        clauses = self._tuple_clauses(candidates, row)
-        if clauses is not None:
-            return self.dnf_confidence(clauses)
-        # A field not covered by any component (malformed decomposition):
-        # fall back to the guarded predicate enumeration.
-        relevant = self._relevant_components(candidates)
-        ensure_enumerable(math.prod(len(c) for c in relevant),
-                          DEFAULT_ENUMERATION_LIMIT,
-                          operation="jointly enumerate")
-
-        def event(assignment: dict[Field, Any]) -> bool:
-            return any(t.instantiate(assignment) == row for t in candidates)
-
-        return self._event_probability(relevant, event)
-
-    def dnf_confidence(self, clauses, stats=None,
-                       limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> float:
-        """Exact probability of a DNF over (component, allowed-set) atoms.
-
-        Evaluated by the d-tree engine (:mod:`repro.wsd.confidence`);
-        *stats* (a :class:`~repro.wsd.confidence.ConfidenceStats`) records
-        how.  If the engine's node budget is exceeded — a DNF far from
-        hierarchical — the involved components are enumerated jointly,
-        guarded by *limit* and counted in ``stats.enumeration_fallbacks``.
-        """
-        from .confidence import DTreeBudgetExceededError, DTreeEngine
-
-        clauses = [tuple(clause) for clause in clauses]
-        try:
-            return DTreeEngine(self.components, stats=stats
-                               ).probability(clauses)
-        except DTreeBudgetExceededError:
-            if stats is not None:
-                stats.enumeration_fallbacks += 1
-        involved = sorted({index for clause in clauses
-                           for index, _ in clause})
-        ensure_enumerable(
-            math.prod(len(self.components[index]) for index in involved),
-            limit, operation="jointly enumerate")
-        masses = [self.components[index].effective_probabilities()
-                  for index in involved]
-        position_of = {index: position
-                       for position, index in enumerate(involved)}
-        total = 0.0
-        for combo in product(*(range(len(self.components[index]))
-                               for index in involved)):
-            if any(all(combo[position_of[index]] in allowed
-                       for index, allowed in clause) for clause in clauses):
-                weight = 1.0
-                for position, alt_index in enumerate(combo):
-                    weight *= masses[position][alt_index]
-                total += weight
-        return total
-
-    def _tuple_clauses(self, candidates: Sequence[TemplateTuple], row: tuple
-                       ) -> list[list[tuple[int, frozenset[int]]]] | None:
-        """Compile "some candidate instantiates to *row*" into DNF clauses.
-
-        Each candidate becomes one clause: per component touched by the
-        candidate, the set of alternatives assigning every relevant field its
-        required value (cells must equal the row, the presence field must be
-        truthy).  Returns ``None`` when a field is not covered by any
-        component (malformed decompositions fall back to enumeration).
-        """
-        component_of: dict[Field, int] = {}
-        for index, component in enumerate(self.components):
-            for f in component.fields:
-                component_of[f] = index
-        clauses: list[list[tuple[int, frozenset[int]]]] = []
-        for candidate in candidates:
-            required: list[tuple[Field, Any, bool]] = []
-            for cell, value in zip(candidate.cells, row):
-                if isinstance(cell, Field):
-                    required.append((cell, value, False))
-            if candidate.presence is not None:
-                required.append((candidate.presence, True, True))
-            atoms: dict[int, frozenset[int]] = {}
-            satisfiable = True
-            for f, value, truthy in required:
-                index = component_of.get(f)
-                if index is None:
-                    return None
-                component = self.components[index]
-                position = component.field_index(f)
-                if truthy:
-                    allowed = frozenset(
-                        i for i, alternative in enumerate(component.alternatives)
-                        if alternative.values[position])
-                else:
-                    allowed = frozenset(
-                        i for i, alternative in enumerate(component.alternatives)
-                        if alternative.values[position] == value)
-                if index in atoms:
-                    allowed &= atoms[index]
-                if not allowed:
-                    satisfiable = False
-                    break
-                atoms[index] = allowed
-            if satisfiable:
-                clauses.append(sorted(atoms.items()))
-        return clauses
-
-    def _could_match(self, template_tuple: TemplateTuple, row: tuple) -> bool:
-        if len(row) != len(template_tuple.cells):
-            return False
-        for cell, value in zip(template_tuple.cells, row):
-            if not isinstance(cell, Field) and cell != value:
-                return False
-        return True
-
-    def _relevant_components(self, tuples: Sequence[TemplateTuple]
-                             ) -> list[Component]:
-        involved = {f for t in tuples for f in t.fields()}
-        return [component for component in self.components
-                if set(component.fields) & involved]
-
-    def _event_probability(self, components: Sequence[Component],
-                           predicate: Callable[[dict[Field, Any]], bool]) -> float:
-        if not components:
-            return 1.0 if predicate({}) else 0.0
-        total = 0.0
-        choice_lists = [list(zip(component.alternatives,
-                                 component.effective_probabilities()))
-                        for component in components]
-        for combination in product(*choice_lists):
-            assignment: dict[Field, Any] = {}
-            probability = 1.0
-            for component, (alternative, mass) in zip(components, combination):
-                assignment.update(alternative.value_map(component.fields))
-                probability *= mass
-            if predicate(assignment):
-                total += probability
-        return total
 
     # -- conditioning (assert) ---------------------------------------------------------------------------------
 

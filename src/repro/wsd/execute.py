@@ -19,7 +19,8 @@ Evaluation strategies, ordered from cheapest to most expensive:
    decomposition's storage size — regardless of the world count.
    ``possible`` / ``certain`` / ``conf`` then reduce to satisfiability,
    coverage and probability of disjunctions of conditions, touching only the
-   components a result row actually depends on.
+   components a result row actually depends on; coverage and probability
+   are answered by :class:`~repro.wsd.confidence.ConfidenceLadder`.
 
 2. **Native engines** — aggregates, GROUP BY / HAVING and scalar aggregate
    subqueries read per-answer masses off a decomposed convolution
@@ -103,24 +104,19 @@ from .aggregate import (
 )
 from .approximate import (
     AnytimeBudget,
-    AnytimeSampler,
     ApproximateConfidence,
     wilson_interval,
 )
 from .budgets import ResourceBudgets
 from .component import Alternative, Component
-from .confidence import (
-    ConfidenceStats,
-    DTreeBudgetExceededError,
-    DTreeEngine,
-    connected_groups,
-)
+from .confidence import ConfidenceLadder, ConfidenceStats, connected_groups
 from .construct import from_choice_of, from_key_repair
 from .decomposition import (
     Template,
     TemplateTuple,
     WorldSetDecomposition,
     ensure_enumerable,
+    joint_alternatives,
 )
 from .fields import EXISTS_ATTRIBUTE, Field
 from .grouping import (
@@ -129,7 +125,7 @@ from .grouping import (
 )
 from .columnar import compile_predicate, compile_projection
 from .normalize import normalize
-from .plan_cache import GLOBAL_PLAN_CACHE, SharedPlanCache
+from .plan_cache import GLOBAL_PLAN_CACHE
 from .setops import SetOpBudgetExceededError, evaluate_compound_entries
 
 __all__ = [
@@ -408,7 +404,6 @@ class WSDExecutor:
                  views: dict[str, Query] | None = None,
                  ground_cache: dict | None = None,
                  ground_lock: "threading.Lock | None" = None,
-                 plan_cache: SharedPlanCache | None = None,
                  budgets: ResourceBudgets | None = None,
                  degradation: str = "strict",
                  anytime: AnytimeBudget | None = None) -> None:
@@ -437,9 +432,8 @@ class WSDExecutor:
         self.stats = WsdExecutionStats()
         self.confidence_stats = ConfidenceStats()
         self.aggregate_stats = AggregateStats()
-        self._engines: dict[int, tuple[WorldSetDecomposition, DTreeEngine]] = {}
-        self._samplers: dict[int, tuple[WorldSetDecomposition,
-                                        AnytimeSampler]] = {}
+        self._ladders: dict[int, tuple[WorldSetDecomposition,
+                                       ConfidenceLadder]] = {}
         #: Memoised groundings of the base decomposition keyed on (relation
         #: version, relation name); shareable across executors via the
         #: constructor so repeated queries over unchanged tables skip
@@ -452,19 +446,17 @@ class WSDExecutor:
                              else threading.Lock())
         #: Groundings of this statement's working copies, same keys.
         self._working_groundings: dict = {}
-        #: Compiled aggregate/grouping shape analyses, served from the
-        #: process-wide :data:`~repro.wsd.plan_cache.GLOBAL_PLAN_CACHE`
-        #: unless the caller passes its own cache.  Plans are immutable pure
-        #: functions of the AST — evaluation state travels in per-execution
-        #: :class:`~repro.wsd.aggregate.EvalSlots` — so one compiled plan
-        #: serves every thread and every generation.
-        self._plan_cache: SharedPlanCache = (
-            plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE)
         self._transient_counter = 0
 
     def aggregate_plan(self, query: SelectQuery) -> Optional[AggregatePlan]:
-        """Shape-analyse *query*, memoised on the shared plan cache."""
-        return self._plan_cache.plan_for(query)
+        """Shape-analyse *query*, memoised on the process-wide
+        :data:`~repro.wsd.plan_cache.GLOBAL_PLAN_CACHE`.
+
+        Plans are immutable pure functions of the AST — evaluation state
+        travels in per-execution :class:`~repro.wsd.aggregate.EvalSlots` —
+        so one compiled plan serves every thread and every generation.
+        """
+        return GLOBAL_PLAN_CACHE.plan_for(query)
 
     # -- public API ---------------------------------------------------------------------
 
@@ -634,8 +626,10 @@ class WSDExecutor:
                 merged.setdefault(row, []).extend(conditions)
             rows = list(merged)
             if query.quantifier == "certain":
+                ladder = self._ladder(working)
                 rows = [row for row in rows
-                        if self._conditions_cover(working, merged[row])]
+                        if ladder.covers([condition.atoms
+                                          for condition in merged[row]])]
             elif query.quantifier != "possible":
                 raise AnalysisError(f"unknown quantifier {query.quantifier!r}")
             return WSDQueryResult(kind="rows",
@@ -1021,131 +1015,34 @@ class WSDExecutor:
 
     # -- condition disjunctions --------------------------------------------------------------
 
+    def _ladder(self, working: WorldSetDecomposition) -> ConfidenceLadder:
+        """The confidence ladder for *working*, cached so every answer row
+        of one query shares the d-tree memo and the sampler's mass tables."""
+        key = id(working)
+        entry = self._ladders.get(key)
+        if entry is None or entry[0] is not working:
+            entry = (working, ConfidenceLadder(
+                working.components, stats=self.confidence_stats,
+                limit=self.limit, node_budget=self.budgets.dtree_nodes,
+                degradation=self.degradation, anytime=self.anytime))
+            self._ladders[key] = entry
+        return entry[1]
+
     def _condition_estimate(self, working: WorldSetDecomposition,
                             conditions: Sequence[Condition]
                             ) -> tuple[float, Optional[ApproximateConfidence]]:
-        """``(probability, approximation)`` of a disjunction of conditions.
+        """``(probability, approximation)`` of a disjunction of conditions,
+        answered by :class:`~repro.wsd.confidence.ConfidenceLadder`.
 
-        Three exact tiers, cheapest first:
-
-        1. closed forms — a single conjunction multiplies out; a disjunction
-           of single-atom conditions over independent components is
-           ``1 - prod_c (1 - P(event_c))`` (both linear, no search);
-        2. the d-tree engine (:mod:`repro.wsd.confidence`) — exact and
-           polynomial for hierarchical DNFs, which is what joins over
-           key-repaired relations produce;
-        3. guarded joint enumeration of the touched components — the budget
-           fallback only: reached when the d-tree exceeds its node budget,
-           and counted in :attr:`ConfidenceStats.enumeration_fallbacks`.
-
-        An *approximate* tier sits behind these under graceful degradation:
-        ``degradation="anytime"`` routes only the shapes whose exact tiers
-        are all over budget to anytime Monte-Carlo sampling instead of
-        raising.  The second element is ``None`` whenever the answer is
-        exact; an :class:`ApproximateConfidence` (already recorded on the
-        executor) states the interval when the anytime sampling tier
-        answered.
+        The second element is ``None`` whenever the answer is exact; an
+        :class:`ApproximateConfidence` (recorded on the executor here)
+        states the interval when the anytime sampling rung answered.
         """
-        if any(condition.is_true() for condition in conditions):
-            return 1.0, None
-        if not conditions:
-            return 0.0, None
-        closed = self._closed_form(working, conditions)
-        if closed is not None:
-            return closed[0], None
-        return self._dtree_estimate(working, conditions)
-
-    def _conditions_cover(self, working: WorldSetDecomposition,
-                          conditions: Sequence[Condition]) -> bool:
-        """True when the disjunction holds in every world (``certain``)."""
-        if any(condition.is_true() for condition in conditions):
-            return True
-        if not conditions:
-            return False
-        closed = self._closed_form(working, conditions, count=False)
-        if closed is not None:
-            return closed[1]
-        engine = self._engine(working)
-        try:
-            return engine.is_tautology(
-                [condition.atoms for condition in conditions])
-        except DTreeBudgetExceededError:
-            self.confidence_stats.enumeration_fallbacks += 1
-            return self._enumerate_disjunction(working, conditions)[1]
-
-    def _closed_form(self, working: WorldSetDecomposition,
-                     conditions: Sequence[Condition],
-                     count: bool = True) -> Optional[tuple[float, bool]]:
-        """``(probability, covers)`` via a linear closed form, if one applies."""
-        if len(conditions) == 1:
-            mass = 1.0
-            for index, allowed in conditions[0].atoms:
-                mass *= self._atom_mass(working.components[index], allowed)
-            if count:
-                self.confidence_stats.closed_form += 1
-            # A stored atom never covers its whole component, so a single
-            # conjunction with atoms holds in some worlds but not all.
-            return mass, False
-        if all(len(condition.atoms) == 1 for condition in conditions):
-            # Closed form: each condition restricts a single component, so
-            # after merging same-component atoms the per-component events are
-            # independent and P(union) = 1 - prod_c (1 - P(event_c)).  This
-            # keeps conf linear in the number of touched components — the
-            # common shape when an answer row is produced by tuples of many
-            # independent key groups.
-            merged: dict[int, frozenset[int]] = {}
-            for condition in conditions:
-                index, allowed = condition.atoms[0]
-                merged[index] = merged.get(index, frozenset()) | allowed
-            miss = 1.0
-            covers = False
-            for index, union in merged.items():
-                component = working.components[index]
-                miss *= 1.0 - self._atom_mass(component, union)
-                if len(union) == len(component.alternatives):
-                    # One component's event happens in every world, so the
-                    # disjunction does too (no stored atom is ever full, so
-                    # this only triggers after merging).
-                    covers = True
-            if count:
-                self.confidence_stats.closed_form += 1
-            return (1.0 - miss), covers
-        return None
-
-    def _engine(self, working: WorldSetDecomposition) -> DTreeEngine:
-        """The (memo-carrying) d-tree engine for *working*, cached so every
-        answer row of one query shares subtree results."""
-        key = id(working)
-        entry = self._engines.get(key)
-        if entry is None or entry[0] is not working:
-            entry = (working, DTreeEngine(working.components,
-                                          stats=self.confidence_stats,
-                                          node_budget=self.budgets.dtree_nodes))
-            self._engines[key] = entry
-        return entry[1]
-
-    def _sampler_for(self, working: WorldSetDecomposition) -> AnytimeSampler:
-        """The anytime Monte-Carlo sampler for *working*, cached so every
-        answer row of one query shares the cumulative mass tables."""
-        key = id(working)
-        entry = self._samplers.get(key)
-        if entry is None or entry[0] is not working:
-            entry = (working, AnytimeSampler(working.components,
-                                             self.anytime))
-            self._samplers[key] = entry
-        return entry[1]
-
-    def _sampled_confidence(self, working: WorldSetDecomposition,
-                            conditions: Sequence[Condition]
-                            ) -> tuple[float, Optional[ApproximateConfidence]]:
-        """The anytime tier: an estimate plus its recorded contract."""
-        sampler = self._sampler_for(working)
-        approximation = sampler.dnf_confidence(
+        mass, approximation = self._ladder(working).probability(
             [condition.atoms for condition in conditions])
-        if approximation.exact:
-            return approximation.value, None
-        self._record_approximation(approximation)
-        return approximation.value, approximation
+        if approximation is not None:
+            self._record_approximation(approximation)
+        return mass, approximation
 
     def _record_approximation(self,
                               approximation: ApproximateConfidence) -> None:
@@ -1170,84 +1067,6 @@ class WSDExecutor:
             "samples": sum(a.samples for a in self.approximations),
             "estimators": sorted({a.estimator for a in self.approximations}),
         }
-
-    def _dtree_estimate(self, working: WorldSetDecomposition,
-                        conditions: Sequence[Condition]
-                        ) -> tuple[float, Optional[ApproximateConfidence]]:
-        engine = self._engine(working)
-        try:
-            return engine.probability(
-                [condition.atoms for condition in conditions]), None
-        except DTreeBudgetExceededError:
-            if self.degradation == "anytime" \
-                    and not self._disjunction_enumerable(working, conditions):
-                # Both exact escapes are over budget; degrade to sampling
-                # instead of refusing.
-                return self._sampled_confidence(working, conditions)
-            self.confidence_stats.enumeration_fallbacks += 1
-            return self._enumerate_disjunction(working, conditions)[0], None
-
-    def _disjunction_enumerable(self, working: WorldSetDecomposition,
-                                conditions: Sequence[Condition]) -> bool:
-        """True when the touched components' joint fits the limit."""
-        if self.limit is None:
-            return True
-        joint = 1
-        for index in sorted({index for condition in conditions
-                             for index in condition.component_ids()}):
-            joint *= len(working.components[index])
-            if joint > self.limit:
-                return False
-        return True
-
-    def _enumerate_disjunction(self, working: WorldSetDecomposition,
-                               conditions: Sequence[Condition]
-                               ) -> tuple[float, bool]:
-        """``(probability, holds-in-every-world)`` by guarded enumeration of
-        the joint of all touched components — exponential; the d-tree's
-        budget fallback."""
-        involved: list[int] = sorted({index for condition in conditions
-                                      for index in condition.component_ids()})
-        joint = 1
-        for index in involved:
-            joint *= len(working.components[index])
-        ensure_enumerable(joint, self.limit, operation="jointly enumerate")
-        total = 0.0
-        covers = True
-        ranges = [range(len(working.components[index].alternatives))
-                  for index in involved]
-        for combo in product(*ranges):
-            choice = dict(zip(involved, combo))
-            if any(condition.holds(choice) for condition in conditions):
-                total += self._joint_weight(working, involved, combo)
-            else:
-                covers = False
-        return total, covers
-
-    def _atom_mass(self, component: Component,
-                   allowed: frozenset[int]) -> float:
-        """Probability mass of *allowed* alternatives within one component.
-
-        Weighting is decided per component via
-        :meth:`Component.effective_probabilities`: a weighted component uses
-        its probabilities, an unweighted one counts uniformly, and a
-        partially-weighted one gives the ``probability=None`` alternatives a
-        uniform share of the residual mass.  The product over components is
-        always a normalised distribution, which matches the explicit
-        backend's (normalised) world weights even when weighted and
-        unweighted uncertainty mix in one decomposition.
-        """
-        masses = component.effective_probabilities()
-        return sum(masses[i] for i in allowed)
-
-    def _joint_weight(self, working: WorldSetDecomposition,
-                      involved: Sequence[int],
-                      combo: Sequence[int]) -> float:
-        weight = 1.0
-        for index, alt_index in zip(involved, combo):
-            component = working.components[index]
-            weight *= component.effective_probabilities()[alt_index]
-        return weight
 
     # -- decomposed aggregates (convolution over components) -----------------------------------
 
@@ -1693,28 +1512,24 @@ class WSDExecutor:
         joint = 1
         for index in involved:
             joint *= len(working.components[index])
-        sampled_weight: float | None = None
         if allow_sampling and self.degradation == "anytime" \
                 and self.limit is not None and joint > self.limit:
-            sampler = self._sampler_for(working)
+            sampler = self._ladder(working).sampler
             count = max(1, self.anytime.max_world_samples)
-            sampled_weight = 1.0 / count
             self._record_approximation(ApproximateConfidence(
                 value=0.0, epsilon=sampler.joint_epsilon(count),
                 confidence_level=self.anytime.confidence_level,
                 samples=count, estimator="joint-sampling"))
             combos = sampler.joint_samples(involved, count,
                                            key=(joint, count, len(queries)))
+            weighted = ((combo, 1.0 / count) for combo in combos)
         else:
-            ensure_enumerable(joint, self.limit,
-                              operation="jointly enumerate")
-            ranges = [range(len(working.components[index].alternatives))
-                      for index in involved]
-            combos = product(*ranges)
+            weighted = joint_alternatives(working.components, involved,
+                                          self.limit)
         from ..core.executor import Executor
 
         executor = Executor(self.views)
-        for combo in combos:
+        for combo, weight in weighted:
             assignment: dict[Field, Any] = {}
             for index, alt_index in zip(involved, combo):
                 component = working.components[index]
@@ -1732,8 +1547,6 @@ class WSDExecutor:
                 (index, frozenset([alt_index]))
                 for index, alt_index in zip(involved, combo)
                 if len(working.components[index]) > 1))
-            weight = (sampled_weight if sampled_weight is not None
-                      else self._joint_weight(working, involved, combo))
             yield pinned, answers, weight
         self.stats.component_joint += 1
 

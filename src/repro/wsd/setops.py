@@ -34,11 +34,9 @@ through the guarded component-joint evaluation of the whole compound.
 
 from __future__ import annotations
 
-from itertools import product
-
 from ..errors import ResourceBudgetError
 from ..sqlparser.ast_nodes import CompoundQuery, Query
-from .decomposition import ensure_enumerable
+from .decomposition import joint_alternatives
 
 __all__ = [
     "DEFAULT_CLAUSE_BUDGET",
@@ -260,15 +258,10 @@ def _enumerated_copies(executor, working, row, mine, theirs, operator: str):
         for conditions in (mine + theirs)
         for condition in conditions
         for index in condition.component_ids()})
-    joint = 1
-    for index in involved:
-        joint *= len(working.components[index])
-    ensure_enumerable(joint, executor.limit,
-                      operation="enumerate the set-operation row joint of")
-    ranges = [range(len(working.components[index].alternatives))
-              for index in involved]
     slots: list[list] = []
-    for combo in product(*ranges):
+    for combo, _ in joint_alternatives(
+            working.components, involved, executor.limit,
+            operation="enumerate the set-operation row joint of"):
         choice = dict(zip(involved, combo))
         count_mine = sum(
             1 for conditions in mine

@@ -2,10 +2,10 @@
 
 Covers the three d-tree rules (independence partitioning, exclusive-clause
 summation, Shannon expansion with alternative blocks), memoisation, the node
-budget with its guarded-enumeration fallback, the executor tiers
-(closed form → d-tree → enumeration) with their stats counters, the
-factored ``assert not exists`` conditioning, and the partially-weighted
-component semantics.
+budget with its guarded-enumeration fallback, the rungs of
+:class:`~repro.wsd.ConfidenceLadder` (closed form → d-tree → enumeration)
+with their stats counters, the factored ``assert not exists``
+conditioning, and the partially-weighted component semantics.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from repro.workloads import DirtyRelationSpec, dirty_key_relation
 from repro.wsd import (
     Alternative,
     Component,
+    ConfidenceLadder,
     ConfidenceStats,
     DTreeBudgetExceededError,
     DTreeEngine,
     Field,
     normalise_clauses,
 )
-from repro.wsd.execute import WSDExecutor
 
 
 def make_components(*specs):
@@ -46,6 +46,21 @@ def make_components(*specs):
             components.append(Component(
                 [f], [Alternative((v,), p) for v, p in enumerate(spec)]))
     return components
+
+
+def wsd_session(decomposition):
+    """A wsd session holding the hand-built *decomposition*."""
+    db = MayBMS(backend="wsd")
+    db.decomposition = decomposition
+    return db
+
+
+def row_conf(db, name, row):
+    """``conf`` of *row* being in relation *name*, asked in I-SQL."""
+    columns = db.decomposition.template.schemas[name].columns
+    where = " and ".join(f"{column.name} = ?" for column in columns)
+    return db.execute(f"select conf from {name} where {where};",
+                      list(row)).scalar()
 
 
 def brute_force(components, clauses):
@@ -215,22 +230,26 @@ class TestExecutorTiers:
     def test_dtree_agrees_with_enumeration_and_explicit(self):
         groups = 7
         db = chain_session(groups=groups)
-        answered = []
-        estimate = WSDExecutor._condition_estimate
+        asked = []
+        probability = ConfidenceLadder.probability
 
-        def recording(executor, working, conditions):
-            answered.append((executor, working, list(conditions)))
-            return estimate(executor, working, conditions)
+        def recording(ladder, clauses):
+            asked.append((ladder.components, list(clauses)))
+            return probability(ladder, clauses)
 
-        with mock.patch.object(WSDExecutor, "_condition_estimate", recording):
+        with mock.patch.object(ConfidenceLadder, "probability", recording):
             expected = db.execute(CHAIN_CONF).rows()[0][0]
         assert db.backend.confidence_stats.dtree >= 1
         assert db.backend.confidence_stats.enumeration_fallbacks == 0
-        # The guarded joint enumeration of the same disjunction, called
-        # directly, reproduces the d-tree's mass.
-        [(executor, working, conditions)] = answered
-        assert executor._enumerate_disjunction(working, conditions)[0] == \
-            pytest.approx(expected, abs=1e-9)
+        # The ladder's enumeration rung (a zero node budget skips the
+        # d-tree) reproduces the d-tree's mass on the same disjunction.
+        [(components, clauses)] = asked
+        stats = ConfidenceStats()
+        ladder = ConfidenceLadder(components, stats=stats, node_budget=0)
+        mass, approximation = ladder.probability(clauses)
+        assert mass == pytest.approx(expected, abs=1e-9)
+        assert approximation is None
+        assert stats.enumeration_fallbacks == 1
         relation = dirty_key_relation(
             DirtyRelationSpec(groups=groups, options=2, seed=3))
         link = Relation(LINK_SCHEMA, [(k, k + 1) for k in range(groups - 1)],
@@ -275,26 +294,26 @@ class TestExecutorTiers:
 
     def test_budget_fallback_is_counted_and_guarded(self):
         db = chain_session(groups=6)
-        executor = db.backend._executor()
-        executor.confidence_stats = ConfidenceStats()
-        from repro.wsd.execute import Condition
-
-        # Force a tiny budget so the fallback path runs.
-        working = db.decomposition
-        conditions = [
-            Condition(((i, frozenset({0})), (i + 1, frozenset({1}))))
-            for i in range(5)]
-        engine = executor._engine(working)
-        engine.node_budget = 1
-        mass = executor._condition_estimate(working, conditions)[0]
-        expected_mass, expected_covers = brute_force(
-            working.components, [condition.atoms for condition in conditions])
+        components = db.decomposition.components
+        clauses = [((i, frozenset({0})), (i + 1, frozenset({1})))
+                   for i in range(5)]
+        # Force a tiny budget so the enumeration rung runs.
+        stats = ConfidenceStats()
+        ladder = ConfidenceLadder(components, stats=stats, node_budget=1)
+        mass, approximation = ladder.probability(clauses)
+        expected_mass, expected_covers = brute_force(components, clauses)
         assert mass == pytest.approx(expected_mass, abs=1e-9)
-        assert executor.confidence_stats.enumeration_fallbacks == 1
-        # The certain/coverage escape takes the same guarded fallback.
-        assert executor._conditions_cover(working, conditions) == \
-            expected_covers
-        assert executor.confidence_stats.enumeration_fallbacks == 2
+        assert approximation is None
+        assert stats.enumeration_fallbacks == 1
+        # The certain/coverage question takes the same guarded rung.
+        assert ladder.covers(clauses) == expected_covers
+        assert stats.enumeration_fallbacks == 2
+        # ... which refuses a joint over the enumeration limit.
+        guarded = ConfidenceLadder(components, node_budget=1, limit=4)
+        with pytest.raises(EnumerationLimitError):
+            guarded.probability(clauses)
+        with pytest.raises(EnumerationLimitError):
+            guarded.covers(clauses)
 
 
 class TestFactoredAssert:
@@ -352,11 +371,11 @@ class TestPartiallyWeightedParity:
                   Alternative((3,))])
         return WorldSetDecomposition(template, [component])
 
-    def test_tuple_confidence_uses_residual_mass(self):
-        wsd = self.mixed_decomposition()
-        assert wsd.tuple_confidence("T", ("x", 1)) == pytest.approx(0.5)
-        assert wsd.tuple_confidence("T", ("x", 2)) == pytest.approx(0.25)
-        assert wsd.tuple_confidence("T", ("x", 3)) == pytest.approx(0.25)
+    def test_row_confidence_uses_residual_mass(self):
+        db = wsd_session(self.mixed_decomposition())
+        assert row_conf(db, "T", ("x", 1)) == pytest.approx(0.5)
+        assert row_conf(db, "T", ("x", 2)) == pytest.approx(0.25)
+        assert row_conf(db, "T", ("x", 3)) == pytest.approx(0.25)
 
     def test_materialised_world_weights_match(self):
         wsd = self.mixed_decomposition()
@@ -369,7 +388,8 @@ class TestPartiallyWeightedParity:
         db.world_set = world_set
         explicit = db.execute(
             "select conf from T where A = 'x' and B = 2;").scalar()
-        assert explicit == pytest.approx(wsd.tuple_confidence("T", ("x", 2)))
+        assert explicit == pytest.approx(row_conf(wsd_session(wsd), "T",
+                                                  ("x", 2)))
 
     def test_overcommitted_mixed_component_rejected(self):
         f = Field("T", 0, "B")
@@ -396,7 +416,7 @@ class TestPartiallyWeightedParity:
 
 
 class TestDnfConfidence:
-    """WorldSetDecomposition.dnf_confidence: engine first, guarded fallback."""
+    """ConfidenceLadder on raw DNFs: d-tree first, guarded enumeration."""
 
     def repair_wsd(self, groups=6):
         from repro.wsd import from_key_repair
@@ -410,32 +430,33 @@ class TestDnfConfidence:
         stats = ConfidenceStats()
         clauses = [[(0, frozenset({0})), (1, frozenset({1}))],
                    [(1, frozenset({0})), (2, frozenset({1}))]]
-        value = wsd.dnf_confidence(clauses, stats=stats)
+        value, approximation = ConfidenceLadder(
+            wsd.components, stats=stats).probability(clauses)
         assert 0.0 < value < 1.0
+        assert approximation is None
         assert stats.dtree == 1
+        assert stats.closed_form == 0
         assert stats.enumeration_fallbacks == 0
 
     def test_budget_fallback_is_guarded_and_counted(self):
-        from unittest import mock
-
-        from repro.wsd import DTreeBudgetExceededError, DTreeEngine
-
         wsd = self.repair_wsd()
         stats = ConfidenceStats()
         clauses = [[(0, frozenset({0})), (1, frozenset({1}))],
                    [(1, frozenset({0})), (2, frozenset({1}))]]
-        expected = wsd.dnf_confidence(clauses)
+        expected, _ = ConfidenceLadder(wsd.components).probability(clauses)
         with mock.patch.object(DTreeEngine, "probability",
                                side_effect=DTreeBudgetExceededError(1)):
-            value = wsd.dnf_confidence(clauses, stats=stats)
+            value, approximation = ConfidenceLadder(
+                wsd.components, stats=stats).probability(clauses)
             assert stats.enumeration_fallbacks == 1
             assert value == pytest.approx(expected)
-            # ... and the fallback enumeration honours the limit guard.
+            assert approximation is None
+            # ... and the enumeration rung honours the limit guard.
             with pytest.raises(EnumerationLimitError):
-                wsd.dnf_confidence(clauses, limit=4)
+                ConfidenceLadder(wsd.components, limit=4).probability(clauses)
 
 
-class TestTupleConfidenceDTree:
+class TestRowConfidenceDTree:
     def test_shared_component_candidates(self):
         # Two template tuples whose presence is controlled by one component
         # (choice-of shape): clauses share the component, masses must add.
@@ -443,25 +464,20 @@ class TestTupleConfidenceDTree:
 
         relation = Relation(Schema([Column("C"), Column("V")]),
                             [("a", 1), ("a", 1), ("b", 1)], name="S")
-        wsd = from_choice_of(relation, ["C"])
+        db = wsd_session(from_choice_of(relation, ["C"]))
         # ("a", 1) exists exactly when partition "a" is chosen: 1/2.
-        assert wsd.tuple_confidence("S", ("a", 1)) == pytest.approx(0.5)
-        assert wsd.tuple_confidence("S", ("b", 1)) == pytest.approx(0.5)
-        assert wsd.tuple_confidence("S", ("z", 9)) == 0.0
+        assert row_conf(db, "S", ("a", 1)) == pytest.approx(0.5)
+        assert row_conf(db, "S", ("b", 1)) == pytest.approx(0.5)
+        assert row_conf(db, "S", ("z", 9)) == 0.0
 
     def test_no_enumeration_for_many_independent_candidates(self):
-        from unittest import mock
-
-        from repro.wsd import WorldSetDecomposition
+        from repro.wsd import from_key_repair
 
         groups = 30
         relation = dirty_key_relation(
             DirtyRelationSpec(groups=groups, options=2, seed=1))
-        from repro.wsd import from_key_repair
-
-        wsd = from_key_repair(relation, ["K"], weight="W", target_name="I")
-        row = tuple(relation.rows[0])
-        with mock.patch.object(WorldSetDecomposition, "_event_probability",
-                               side_effect=AssertionError("enumerated")):
-            value = wsd.tuple_confidence("I", row)
+        db = wsd_session(from_key_repair(relation, ["K"], weight="W",
+                                         target_name="I"))
+        value = row_conf(db, "I", relation.rows[0])
         assert 0.0 < value < 1.0
+        assert db.backend.confidence_stats.enumeration_fallbacks == 0

@@ -4,10 +4,11 @@ The central invariant: for *any* decomposition shape (weighted, unweighted,
 partially weighted, arbitrary component sizes) and *any* DNF over
 (component, allowed-set) atoms, the d-tree engine computes exactly the same
 probability and coverage as brute-force joint enumeration of all components,
-to 1e-9.  On top of the raw-engine property, a query-level property runs a
-correlated self-join ``conf`` through the wsd backend (d-tree) and the
-explicit backend (per-world reference) on random dirty relations and demands
-identical confidences — the same parity discipline as
+to 1e-9.  The same holds for every rung of the confidence ladder on DNFs
+shaped like the executor's conditions.  On top of these, a query-level
+property runs a correlated self-join ``conf`` through the wsd backend
+(d-tree) and the explicit backend (per-world reference) on random dirty
+relations and demands identical confidences — the same parity discipline as
 ``tests/test_wsd_executor_parity.py``, pointed at the query class that used
 to require joint enumeration.
 """
@@ -23,7 +24,13 @@ from repro import MayBMS
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
-from repro.wsd import Alternative, Component, DTreeEngine, Field
+from repro.wsd import (
+    Alternative,
+    Component,
+    ConfidenceLadder,
+    DTreeEngine,
+    Field,
+)
 
 
 # -- strategies ---------------------------------------------------------------------------
@@ -91,6 +98,31 @@ def components_and_dnf(draw):
     return components, clauses
 
 
+@st.composite
+def components_and_condition_dnf(draw, max_clauses=6, max_atoms=3):
+    """Components plus a DNF shaped like the executor's conditions: each
+    clause restricts distinct components (in index order), and every atom
+    is a proper subset of a component with at least two alternatives — no
+    stored atom covers its whole component."""
+    components = draw(components_strategy())
+    eligible = [index for index, component in enumerate(components)
+                if len(component) >= 2]
+    if not eligible:
+        return components, []
+    clauses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_clauses))):
+        indexes = draw(st.lists(st.sampled_from(eligible), min_size=1,
+                                max_size=min(max_atoms, len(eligible)),
+                                unique=True))
+        clauses.append(tuple(
+            (index, frozenset(draw(st.sets(
+                st.integers(min_value=0,
+                            max_value=len(components[index]) - 1),
+                min_size=1, max_size=len(components[index]) - 1))))
+            for index in sorted(indexes)))
+    return components, clauses
+
+
 def brute_force(components, clauses):
     """Reference DNF (probability, covers) by full joint enumeration."""
     masses = [component.effective_probabilities()
@@ -139,6 +171,30 @@ class TestEngineMatchesBruteForce:
         first = engine.probability(clauses)
         # Same engine, same DNF: the memo must return the identical value.
         assert engine.probability(clauses) == first
+
+
+class TestLadderMatchesBruteForce:
+    """Every rung of :class:`ConfidenceLadder` agrees with brute force.
+
+    The default node budget lets the closed forms and the d-tree answer; a
+    zero budget sends every DNF the closed forms miss to the enumeration
+    rung.  The joints are far below the enumeration limit, so the anytime
+    mode must never sample.
+    """
+
+    @pytest.mark.parametrize("node_budget", [None, 0])
+    @given(case=components_and_condition_dnf())
+    @settings(max_examples=200, deadline=None)
+    def test_probability_and_covers_match_joint_enumeration(self, node_budget,
+                                                            case):
+        components, clauses = case
+        expected_mass, expected_covers = brute_force(components, clauses)
+        ladder = ConfidenceLadder(components, node_budget=node_budget,
+                                  degradation="anytime")
+        mass, approximation = ladder.probability(clauses)
+        assert mass == pytest.approx(expected_mass, abs=1e-9)
+        assert approximation is None
+        assert ladder.covers(clauses) is expected_covers
 
 
 # -- query-level parity on correlated conf --------------------------------------------------

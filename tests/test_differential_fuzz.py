@@ -51,7 +51,11 @@ from repro.errors import ReproError
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.types import SqlType
-from repro.wsd.execute import WSDExecutor
+from repro.wsd import (
+    ConfidenceLadder,
+    DTreeBudgetExceededError,
+    DTreeEngine,
+)
 
 from test_wsd_executor_parity import force_guarded_grouping
 
@@ -517,11 +521,12 @@ class TestDifferentialFuzz:
         within the advertised accuracy contract (and answer shapes that
         stay closed-form must stay bit-exact).
 
-        The sampler is forced through a test seam — the d-tree tier is
-        swapped for the anytime tier around the approximate session's
-        statements only (``mock.patch`` rather than the function-scoped
-        ``monkeypatch`` fixture, which Hypothesis does not reset between
-        examples)."""
+        The sampler is forced through a test seam around the approximate
+        session's statements only: the d-tree reports its budget exceeded
+        and the confidence ladder reports every joint over the enumeration
+        limit, so the ladder's anytime rung answers (``mock.patch`` rather
+        than the function-scoped ``monkeypatch`` fixture, which Hypothesis
+        does not reset between examples)."""
         relation, statements = workload
         exact = MayBMS({"R": relation.copy()}, backend="wsd")
         approx = MayBMS({"R": relation.copy()}, backend="wsd",
@@ -529,8 +534,10 @@ class TestDifferentialFuzz:
 
         def run_sampled(statement_sql):
             with mock.patch.object(
-                    WSDExecutor, "_dtree_estimate",
-                    lambda self, w, c: self._sampled_confidence(w, c)):
+                    DTreeEngine, "probability",
+                    side_effect=DTreeBudgetExceededError(0)), \
+                    mock.patch.object(ConfidenceLadder, "enumerable",
+                                      return_value=False):
                 return approx.execute(statement_sql)
 
         for statement_sql in statements:

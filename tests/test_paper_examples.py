@@ -172,7 +172,7 @@ class TestExample210Conf:
             "select conf from I where 10 > (select sum(B) from I);")
         assert result.scalar() == pytest.approx(0.0)
 
-    def test_tuple_confidence_variant(self, db_figure2):
+    def test_row_confidence_variant(self, db_figure2):
         result = db_figure2.execute("select conf, A, B, C from I;")
         confidences = {row[:3]: row[3] for row in result.rows()}
         assert confidences[("a1", 10, "c1")] == pytest.approx(2 / 8)

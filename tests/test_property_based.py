@@ -115,14 +115,20 @@ class TestWsdInvariants:
 
     @given(relation=dirty_relations())
     @settings(max_examples=30, deadline=None)
-    def test_tuple_confidence_matches_explicit_count(self, relation):
+    def test_row_confidence_matches_explicit_count(self, relation):
         explicit = repair_by_key(WorldSet.single({"D": relation}), "D", ["K"],
                                  weight="W", target_name="I")
-        wsd = from_key_repair(relation, ["K"], weight="W", target_name="I")
+        db = MayBMS(backend="wsd")
+        db.decomposition = from_key_repair(relation, ["K"], weight="W",
+                                           target_name="I")
         some_row = relation.rows[0]
         expected = sum(world.probability for world in explicit
                        if some_row in set(world.relation("I").rows))
-        assert wsd.tuple_confidence("I", some_row) == pytest.approx(expected)
+        key, value, weight = some_row
+        confidence = db.execute(
+            f"select conf from I where K = {key} and V = {value} "
+            f"and W = {weight};").scalar()
+        assert confidence == pytest.approx(expected)
 
 
 # -- I-SQL semantics invariants ------------------------------------------------------------------

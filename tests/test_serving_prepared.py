@@ -151,7 +151,7 @@ class TestPreparedExecution:
         prepared.execute((12,))
         assert db.backend.stats.ground_cache_hits > hits_before
 
-    def test_prepared_plans_compile_once_then_hit(self):
+    def test_prepared_statement_plans_compile_once_then_hit(self):
         db = build_session()
         prepared = db.prepare("select possible A, sum(B) from I group by A;")
         cache = prepared.plans

@@ -168,7 +168,7 @@ class TestWorldSetOperations:
                      World({"T": Relation(["V"], [(7,)])}))
         assert db.execute("select certain V from T;").rows() == [(7,)]
 
-    def test_tuple_confidence_uniform_when_non_probabilistic(self):
+    def test_row_confidence_uniform_when_non_probabilistic(self):
         db = session(make_world(1), make_world(1), make_world(2))
         confidences = dict(db.execute("select conf, V from T;").rows())
         assert confidences[1] == pytest.approx(2 / 3)

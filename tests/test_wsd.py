@@ -223,11 +223,15 @@ class TestWorldSetDecomposition:
         bigger = WorldSetDecomposition(template, wsd.components + [single])
         assert answers(bigger, "select certain A from T;") == [(7,)]
 
-    def test_tuple_confidence(self):
+    def test_row_confidence(self):
         wsd, f_a, f_b = self.build_simple()
-        assert wsd.tuple_confidence("T", (1, "x")) == pytest.approx(0.125)
-        assert wsd.tuple_confidence("T", (2, "y")) == pytest.approx(0.375)
-        assert wsd.tuple_confidence("T", (9, "z")) == 0.0
+        confidence = {(a, b): conf for a, b, conf
+                      in answers(wsd, "select conf, A, B from T;")}
+        assert confidence[(1, "x")] == pytest.approx(0.125)
+        assert confidence[(2, "y")] == pytest.approx(0.375)
+        assert (9, "z") not in confidence
+        assert answers(wsd, "select conf from T where A = 9 and B = 'z';") \
+            == [(0.0,)]
 
     def test_event_confidence_matches_explicit(self):
         wsd, f_a, f_b = self.build_simple()
@@ -254,4 +258,5 @@ class TestWorldSetDecomposition:
         worlds = wsd.to_worldset()
         sizes = sorted(len(world.relation("T")) for world in worlds)
         assert sizes == [0, 1]
-        assert wsd.tuple_confidence("T", ("a",)) == pytest.approx(0.6)
+        assert answers(wsd, "select conf, A from T;") == \
+            [("a", pytest.approx(0.6))]

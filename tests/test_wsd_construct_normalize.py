@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import MayBMS
 from repro.errors import DecompositionError
 from repro.relational.relation import Relation
 from repro.worldset import WorldSet, repair_by_key
@@ -42,11 +43,15 @@ class TestFromKeyRepair:
         assert wsd.world_count() == 2 ** 12
         assert wsd.storage_size() < 200
 
-    def test_tuple_confidence_from_repair(self, relation_r):
+    def test_row_confidence_from_repair(self, relation_r):
         wsd = from_key_repair(relation_r, ["A"], weight="D", target_name="I",
                               output_columns=["A", "B", "C"])
-        assert wsd.tuple_confidence("I", ("a1", 10, "c1")) == pytest.approx(0.25)
-        assert wsd.tuple_confidence("I", ("a3", 20, "c5")) == pytest.approx(1.0)
+        db = MayBMS(backend="wsd")
+        db.decomposition = wsd
+        assert db.execute("select conf from I where A = 'a1' and B = 10 "
+                          "and C = 'c1';").scalar() == pytest.approx(0.25)
+        assert db.execute("select conf from I where A = 'a3' and B = 20 "
+                          "and C = 'c5';").scalar() == pytest.approx(1.0)
 
     def test_extra_certain_relations_present_in_every_world(self, relation_r,
                                                             relation_s):
