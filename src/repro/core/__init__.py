@@ -1,12 +1,15 @@
-"""The I-SQL engine: planner, executors, backends, session and results."""
+"""The I-SQL engine: binder, planner, executors, backends, session and
+results."""
 
 from .backends import ExecutionBackend, ExplicitBackend, WsdBackend
 from .executor import Executor, WorldQueryResult
-from .planner import Planner, ResolvedFrom, plan_select
+from .binder import Binder
+from .planner import Planner, ResolvedFrom
 from .results import StatementResult, WorldAnswer
 from .session import MayBMS
 
 __all__ = [
+    "Binder",
     "ExecutionBackend",
     "Executor",
     "ExplicitBackend",
@@ -17,5 +20,4 @@ __all__ = [
     "WorldAnswer",
     "WorldQueryResult",
     "WsdBackend",
-    "plan_select",
 ]

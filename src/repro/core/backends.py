@@ -32,7 +32,11 @@ from ..errors import (
 )
 from ..relational.catalog import Catalog
 from ..relational.constraints import check_key
-from ..relational.expressions import EvalContext
+from ..relational.expressions import (
+    EvalContext,
+    _as_boolean,
+    contains_subquery,
+)
 from ..relational.relation import Relation
 from ..relational.schema import Column, Schema
 from ..relational.types import SqlType
@@ -62,11 +66,11 @@ from ..wsd.execute import (
     WSDExecutor,
     WsdExecutionStats,
     canonical_relation_name,
-    contains_subquery,
     materialise_certain,
     prune_and_normalize,
     relation_is_certain,
 )
+from .binder import Binder
 from .executor import TRANSIENT_PREFIX, Executor, WorldQueryResult
 from .options import QueryOptions
 from .planner import Planner
@@ -138,6 +142,29 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    def _declared_schemas(self) -> dict[str, Schema]:
+        """Lower-cased relation name -> declared schema, as every world
+        sees it."""
+        raise NotImplementedError
+
+    def _bind(self, statement: Statement) -> None:
+        """Resolve *statement*'s names against the current schemas and views
+        (:mod:`repro.core.binder`); a no-op while they are unchanged."""
+        schemas = self._declared_schemas()
+        # Views compare by identity: a re-created view is a new, unbound
+        # AST even when its text is unchanged.  The token holds the view
+        # objects, so no id in it can be reused while it is alive.
+        views = tuple(self.views.items())
+        token = (tuple(schemas.items()),
+                 tuple((name, id(query)) for name, query in views), views)
+
+        def relation_schema(name: str) -> Schema:
+            if name.lower() not in schemas:
+                raise UnknownRelationError(name)
+            return schemas[name.lower()]
+
+        Binder(relation_schema, self.views).bind_statement(statement, token)
+
     # -- view DDL (shared: views live in the backend-agnostic registry) -------------------
 
     def _execute_create_view(self, statement: CreateView) -> StatementResult:
@@ -157,6 +184,11 @@ class ExecutionBackend:
         if if_exists:
             return StatementResult(kind="command", message="nothing to drop")
         raise UnknownRelationError(name)
+
+
+def _where_holds(where, context: EvalContext) -> bool:
+    """Does a DML row satisfy the (optional) WHERE predicate?"""
+    return where is None or bool(_as_boolean(where.evaluate(context)))
 
 
 def _reorder_row(schema: Schema, row: tuple,
@@ -307,6 +339,8 @@ class ExplicitBackend(ExecutionBackend):
         # The explicit backend has no approximate tier, so options only get
         # validated.
         QueryOptions.coerce(options)
+        if self.world_set.worlds:  # an empty world-set evaluates nothing
+            self._bind(statement)
         if isinstance(statement, (SelectQuery, CompoundQuery)):
             return self._execute_query(statement)
         if isinstance(statement, CreateTableAs):
@@ -332,6 +366,11 @@ class ExplicitBackend(ExecutionBackend):
         raise UnsupportedFeatureError(
             f"statement type {type(statement).__name__} is not supported")
 
+    def _declared_schemas(self) -> dict[str, Schema]:
+        catalog = self.world_set.worlds[0].catalog
+        return {name.lower(): catalog.get(name).schema
+                for name in catalog.names()}
+
     # -- queries -------------------------------------------------------------------------------------
 
     def _executor(self) -> Executor:
@@ -345,20 +384,22 @@ class ExplicitBackend(ExecutionBackend):
                                  ) -> StatementResult:
         outcome = self._executor().evaluate_query(statement.query,
                                                   self.world_set)
-        self._install_materialized(statement.name, outcome)
+        self._install_materialized(statement.name, outcome,
+                                   Schema(statement.columns))
         return StatementResult(
             kind="command",
             message=(f"created table {statement.name} in "
                      f"{len(self.world_set)} world(s)"),
             world_set=self.world_set)
 
-    def _install_materialized(self, name: str,
-                              outcome: WorldQueryResult) -> None:
-        """Install a query outcome as new session state (always replacing
-        any existing relation of the same name, like the seed semantics)."""
+    def _install_materialized(self, name: str, outcome: WorldQueryResult,
+                              schema: Schema) -> None:
+        """Install a query outcome as new session state under the bound
+        *schema* (always replacing any existing relation of the same name,
+        like the seed semantics)."""
         worlds = []
         for world, answer in zip(outcome.world_set.worlds, outcome.answers):
-            stored = answer.with_schema(answer.schema.without_qualifiers())
+            stored = answer.with_schema(schema)
             new_world = world.with_relation(name, stored, replace=True)
             for relation_name in list(new_world.catalog.names()):
                 if relation_name.startswith(TRANSIENT_PREFIX):
@@ -421,7 +462,7 @@ class ExplicitBackend(ExecutionBackend):
                     "INSERT ... SELECT with world-dependent answers "
                     "is not supported")
             return list(outcome.answers[0].rows)
-        context = EvalContext(schema=Schema([]), row=())
+        context = EvalContext(row=())
         return [tuple(expression.evaluate(context) for expression in row)
                 for row in statement.rows]
 
@@ -456,18 +497,12 @@ class ExplicitBackend(ExecutionBackend):
         for world in self.world_set.worlds:
             relation = world.relation(statement.table).copy()
             env = executor._make_env(world)
-            schema = relation.schema.with_qualifier(statement.table)
 
             def matches(row: tuple) -> bool:
-                if statement.where is None:
-                    return True
-                context = EvalContext(schema=schema, row=row,
-                                      subquery_evaluator=env.subquery_evaluator)
-                return statement.where.evaluate(context) is True
+                return _where_holds(statement.where, env.make_context(row))
 
             def updated(row: tuple) -> tuple:
-                context = EvalContext(schema=schema, row=row,
-                                      subquery_evaluator=env.subquery_evaluator)
+                context = env.make_context(row)
                 values = list(row)
                 for assignment in statement.assignments:
                     index = relation.schema.index_of(assignment.column)
@@ -491,14 +526,9 @@ class ExplicitBackend(ExecutionBackend):
         for world in self.world_set.worlds:
             relation = world.relation(statement.table).copy()
             env = executor._make_env(world)
-            schema = relation.schema.with_qualifier(statement.table)
 
             def matches(row: tuple) -> bool:
-                if statement.where is None:
-                    return True
-                context = EvalContext(schema=schema, row=row,
-                                      subquery_evaluator=env.subquery_evaluator)
-                return statement.where.evaluate(context) is True
+                return _where_holds(statement.where, env.make_context(row))
 
             counts.append(relation.delete_where(matches))
             new_worlds.append(world.with_relation(statement.table, relation))
@@ -513,16 +543,10 @@ class ExplicitBackend(ExecutionBackend):
             target = target.query
         if not isinstance(target, (SelectQuery, CompoundQuery)):
             raise UnsupportedFeatureError("EXPLAIN only supports queries")
-        executor = self._executor()
-        derived, resolved_from = executor._resolve_from(
+        _, resolved_from = self._executor()._resolve_from(
             target.from_clause if isinstance(target, SelectQuery) else [],
             self.world_set)
-        planner = Planner(derived.worlds[0].catalog)
-        if isinstance(target, SelectQuery):
-            plan = planner.plan_select(target, resolved_from)
-        else:
-            plan = planner.plan_compound(target)
-        text = plan.explain()
+        text = Planner().plan_query(target, resolved_from).explain()
         return StatementResult(kind="command", message=text)
 
 
@@ -662,6 +686,7 @@ class WsdBackend(ExecutionBackend):
                           options: QueryOptions | None = None
                           ) -> StatementResult:
         options = QueryOptions.coerce(options)
+        self._bind(statement)
         if isinstance(statement, (SelectQuery, CompoundQuery)):
             return self._execute_query(statement, options)
         if isinstance(statement, CreateTableAs):
@@ -693,6 +718,10 @@ class WsdBackend(ExecutionBackend):
                 "EXPLAIN is not supported on the wsd backend")
         raise UnsupportedFeatureError(
             f"statement type {type(statement).__name__} is not supported")
+
+    def _declared_schemas(self) -> dict[str, Schema]:
+        return {name.lower(): schema for name, schema
+                in self.decomposition.template.schemas.items()}
 
     # -- queries -------------------------------------------------------------------------------------
 
@@ -748,7 +777,7 @@ class WsdBackend(ExecutionBackend):
         executor = self._executor(options)
         try:
             self.decomposition = executor.evaluate_for_install(
-                statement.name, statement.query)
+                statement.name, statement.query, Schema(statement.columns))
         finally:
             self._merge_stats(executor)
         return StatementResult(
@@ -806,7 +835,7 @@ class WsdBackend(ExecutionBackend):
                     "INSERT ... SELECT with world-dependent answers "
                     "is not supported")
         else:
-            context = EvalContext(schema=Schema([]), row=())
+            context = EvalContext(row=())
             rows = [tuple(expression.evaluate(context) for expression in row)
                     for row in statement.rows]
         canonical = self._canonical_name(statement.table)
@@ -855,13 +884,11 @@ class WsdBackend(ExecutionBackend):
             raise UnsupportedFeatureError(
                 "UPDATE with subqueries is not supported on the wsd backend")
         relation = self._materialise_certain(canonical)
-        schema = relation.schema.with_qualifier(statement.table)
         total = 0
         new_rows = []
         for row in relation.rows:
-            context = EvalContext(schema=schema, row=row)
-            if statement.where is None or \
-                    statement.where.evaluate(context) is True:
+            context = EvalContext(row=row)
+            if _where_holds(statement.where, context):
                 values = list(row)
                 for assignment in statement.assignments:
                     index = relation.schema.index_of(assignment.column)
@@ -887,13 +914,10 @@ class WsdBackend(ExecutionBackend):
             raise UnsupportedFeatureError(
                 "DELETE with subqueries is not supported on the wsd backend")
         relation = self._materialise_certain(canonical)
-        schema = relation.schema.with_qualifier(statement.table)
         kept = []
         total = 0
         for row in relation.rows:
-            context = EvalContext(schema=schema, row=row)
-            if statement.where is None or \
-                    statement.where.evaluate(context) is True:
+            if _where_holds(statement.where, EvalContext(row=row)):
                 total += 1
             else:
                 kept.append(row)

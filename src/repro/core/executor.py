@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import AnalysisError, UnsupportedFeatureError
-from ..relational.algebra import ExecutionEnv
-from ..relational.expressions import EvalContext
+from ..relational.algebra import ExecutionEnv, Operator
+from ..relational.expressions import EvalContext, _as_boolean
 from ..relational.relation import Relation
 from ..relational.schema import Column, Schema
 from ..worldset.operations import choice_of, repair_by_key
@@ -35,10 +35,11 @@ from ..sqlparser.ast_nodes import (
     DerivedTableRef,
     NamedTableRef,
     Query,
+    RepairByKeyClause,
     SelectQuery,
     TableRef,
 )
-from .planner import Planner, ResolvedFrom, select_plan_is_world_independent
+from .planner import Planner, ResolvedFrom
 
 __all__ = ["WorldQueryResult", "Executor", "TRANSIENT_PREFIX",
            "collect_quantifier"]
@@ -78,7 +79,12 @@ class WorldQueryResult:
 
 
 class Executor:
-    """Evaluates parsed queries with possible-worlds semantics."""
+    """Evaluates bound queries with possible-worlds semantics.
+
+    One executor serves one statement: it plans each query block once
+    (:meth:`_plan`) and runs that plan in every world, and for every row
+    of a correlated outer query.
+    """
 
     def __init__(self, views: dict[str, Query] | None = None) -> None:
         #: Stored view definitions (name, lower-cased, to query AST).
@@ -87,6 +93,8 @@ class Executor:
             for name, query in views.items():
                 self.views[name.lower()] = query
         self._transient_counter = 0
+        #: This statement's plans of nested query blocks, by AST identity.
+        self._plans: dict[int, tuple[Query, Operator]] = {}
 
     # -- public API -----------------------------------------------------------------------
 
@@ -107,25 +115,23 @@ class Executor:
         allowed here.
         """
         self._require_plain(query, "a nested query")
-        planner = Planner(world.catalog)
-        plan = planner.plan_query(query)
-        env = self._make_env(world, outer)
-        return plan.execute(env)
+        return self._plan(query).execute(self._make_env(world, outer))
+
+    def _plan(self, query: Query) -> Operator:
+        """The plan of a nested (or compound) query block, built once."""
+        entry = self._plans.get(id(query))
+        if entry is None or entry[0] is not query:
+            entry = (query, Planner().plan_query(query))
+            self._plans[id(query)] = entry
+        return entry[1]
 
     # -- SELECT ------------------------------------------------------------------------------
 
     def _evaluate_select(self, query: SelectQuery,
                          world_set: WorldSet) -> WorldQueryResult:
         derived, resolved_from = self._resolve_from(query.from_clause, world_set)
-        shared_plan = None
-        if derived.worlds and select_plan_is_world_independent(query):
-            # Star-free selects compile to the same operator tree in every
-            # world: build it once and run it per world (the operators are
-            # stateless — each execute() call reads only its env).
-            shared_plan = Planner(derived.worlds[0].catalog).plan_select(
-                query, resolved_from)
-        answers = [self._run_per_world(query, world, resolved_from,
-                                       shared_plan)
+        plan = Planner().plan_select(query, resolved_from)
+        answers = [plan.execute(self._make_env(world))
                    for world in derived.worlds]
         if query.assert_condition is not None:
             derived, answers = self._apply_assert(query, derived, answers)
@@ -144,12 +150,9 @@ class Executor:
     def _evaluate_compound(self, query: CompoundQuery,
                            world_set: WorldSet) -> WorldQueryResult:
         self._require_plain(query, "a compound (UNION/INTERSECT/EXCEPT) query")
-        answers = []
-        for world in world_set.worlds:
-            planner = Planner(world.catalog)
-            plan = planner.plan_compound(query)
-            answers.append(plan.execute(self._make_env(world)))
-        return WorldQueryResult(world_set, answers)
+        plan = self._plan(query)
+        return WorldQueryResult(world_set, [plan.execute(self._make_env(world))
+                                            for world in world_set.worlds])
 
     # -- FROM resolution (views, derived tables, repair, choice) ---------------------------------
 
@@ -170,67 +173,37 @@ class Executor:
 
     def _resolve_table_ref(self, ref: TableRef, world_set: WorldSet
                            ) -> tuple[WorldSet, ResolvedFrom]:
+        """A view or derived table is evaluated and stored transiently; a
+        decoration then repairs / partitions the source into a transient
+        relation, expanding the world-set."""
         if isinstance(ref, DerivedTableRef):
-            return self._resolve_query_source(ref.query, ref.alias, world_set,
-                                              repair=ref.repair,
-                                              choice=ref.choice)
-        if not isinstance(ref, NamedTableRef):
-            raise AnalysisError(f"unknown FROM item {ref!r}")
-        alias = ref.effective_alias()
-        view_query = self.views.get(ref.name.lower())
-        if view_query is not None:
-            return self._resolve_query_source(view_query, alias, world_set,
-                                              repair=ref.repair, choice=ref.choice)
-        if ref.repair is None and ref.choice is None:
-            return world_set, ResolvedFrom(relation_name=ref.name, alias=alias)
-        # A decorated base table: materialise the repaired / partitioned
-        # relation under a transient name, expanding the world-set.
-        transient = self._new_transient_name()
-        if ref.repair is not None:
-            expanded = repair_by_key(world_set, ref.name, ref.repair.attributes,
-                                     weight=ref.repair.weight,
-                                     target_name=transient)
-            if ref.choice is not None:
-                expanded = choice_of(expanded, transient, ref.choice.attributes,
-                                     weight=ref.choice.weight,
-                                     target_name=transient)
+            query: Optional[Query] = ref.query
+        elif isinstance(ref, NamedTableRef):
+            query = self.views.get(ref.name.lower())
         else:
-            assert ref.choice is not None
-            expanded = choice_of(world_set, ref.name, ref.choice.attributes,
-                                 weight=ref.choice.weight, target_name=transient)
-        return expanded, ResolvedFrom(relation_name=transient, alias=alias)
-
-    def _resolve_query_source(self, query: Query, alias: str, world_set: WorldSet,
-                              repair, choice) -> tuple[WorldSet, ResolvedFrom]:
-        """Resolve a view or derived table: evaluate it, store it transiently."""
-        inner = self.evaluate_query(query, world_set)
+            raise AnalysisError(f"unknown FROM item {ref!r}")
+        source = ref.name if query is None else self._new_transient_name()
+        if query is not None:
+            inner = self.evaluate_query(query, world_set)
+            world_set = WorldSet([
+                world.with_relation(source, answer)
+                for world, answer in zip(inner.world_set.worlds,
+                                         inner.answers)])
+        decoration = ref.decoration
+        if decoration is None:
+            return world_set, ResolvedFrom(source, ref.effective_alias())
         transient = self._new_transient_name()
-        worlds = []
-        for world, answer in zip(inner.world_set.worlds, inner.answers):
-            worlds.append(world.with_relation(transient, answer))
-        derived = WorldSet(worlds)
-        if repair is not None:
-            derived = repair_by_key(derived, transient, repair.attributes,
-                                    weight=repair.weight, target_name=transient)
-        if choice is not None:
-            derived = choice_of(derived, transient, choice.attributes,
-                                weight=choice.weight, target_name=transient)
-        return derived, ResolvedFrom(relation_name=transient, alias=alias)
+        expand = repair_by_key if isinstance(decoration, RepairByKeyClause) \
+            else choice_of
+        expanded = expand(world_set, source, decoration.attributes,
+                          weight=decoration.weight, target_name=transient)
+        return expanded, ResolvedFrom(transient, ref.effective_alias())
 
     def _new_transient_name(self) -> str:
         self._transient_counter += 1
         return f"{TRANSIENT_PREFIX}{self._transient_counter}"
 
     # -- per-world evaluation ----------------------------------------------------------------------
-
-    def _run_per_world(self, query: SelectQuery, world: World,
-                       resolved_from: list[ResolvedFrom],
-                       shared_plan=None) -> Relation:
-        if shared_plan is not None:
-            return shared_plan.execute(self._make_env(world))
-        planner = Planner(world.catalog)
-        plan = planner.plan_select(query, resolved_from)
-        return plan.execute(self._make_env(world))
 
     def _make_env(self, world: World,
                   outer: Optional[EvalContext] = None) -> ExecutionEnv:
@@ -270,9 +243,8 @@ class Executor:
     def _world_condition_holds(self, condition, world: World) -> bool:
         """Evaluate a world-level boolean condition (no row context)."""
         env = self._make_env(world)
-        context = EvalContext(schema=Schema([]), row=(),
-                              subquery_evaluator=env.subquery_evaluator)
-        return condition.evaluate(context) is True
+        context = EvalContext(row=(), subquery_evaluator=env.subquery_evaluator)
+        return bool(_as_boolean(condition.evaluate(context)))
 
     # -- possible / certain / conf -----------------------------------------------------------------------
 
@@ -356,7 +328,7 @@ class Executor:
                 f"assert / group worlds by is not supported inside {where}")
         for ref in query.from_clause:
             if isinstance(ref, NamedTableRef):
-                if ref.repair is not None or ref.choice is not None:
+                if ref.decoration is not None:
                     raise UnsupportedFeatureError(
                         f"repair by key / choice of is not supported inside {where}")
                 if ref.name.lower() in self.views:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, UnsupportedFeatureError
 from ..relational.relation import Relation
 from ..relational.schema import Column
 from ..serving.locks import GenerationRWLock
@@ -51,7 +51,6 @@ from ..storage.store import (
     DurableStore,
     RecoveryReport,
     apply_record,
-    ast_record,
     create_table_record,
     insert_record,
     register_relation_record,
@@ -183,17 +182,18 @@ class MayBMS:
         """Run one write under the lock, logging it before the release.
 
         *action* mutates the backend; *record_builder* produces the redo
-        record (built only when a store exists).  Any failure — of the
-        action or of the durable logging — releases without a generation
-        bump: the write is not acknowledged.
+        record (built only when a store exists, and before the action, so
+        a value the log cannot store is refused while nothing has
+        changed).  Any failure — of the action or of the durable logging —
+        releases without a generation bump: the write is not acknowledged.
         """
         with self.lock.write(timeout=self.write_timeout):
             if self.store is not None:
                 self.store.check_writable()
+                record = record_builder()
             result = action()
             if self.store is not None:
-                self.store.log_commit(self.lock.generation + 1,
-                                      record_builder(),
+                self.store.log_commit(self.lock.generation + 1, record,
                                       statement=statement)
             return result
 
@@ -293,15 +293,18 @@ class MayBMS:
     def execute_statement(self, statement: Statement) -> StatementResult:
         """Execute an already-parsed statement on the active backend.
 
-        Without SQL text to log, a durable session records the statement
-        AST itself (pickled) as the redo record.
+        A durable session logs writes as SQL text, which a parsed statement
+        does not carry, so it refuses them here; use :meth:`execute`.
         """
         if statement_is_read(statement):
             with self.lock.read():
                 return self.backend.execute_statement(statement)
+        if self.store is not None:
+            raise UnsupportedFeatureError(
+                "a durable session logs writes as SQL text; execute the "
+                "write with execute(sql) instead of execute_statement")
         return self._durable_write(
-            lambda: self.backend.execute_statement(statement),
-            lambda: ast_record(statement), statement=statement)
+            lambda: self.backend.execute_statement(statement), None)
 
     # -- multi-process scale-out ----------------------------------------------------------------
 

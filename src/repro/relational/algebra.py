@@ -8,8 +8,8 @@ produces a new :class:`Relation`.
 Operators are deliberately simple: the data sets of the paper (and of the
 benchmarks, which stress the *number of worlds* rather than the size of single
 relations) are small per world, so nested-loop and hash strategies suffice.
-The planner picks a hash join when the predicate is a conjunction of
-equalities; everything else goes through the generic theta join.
+The planner turns equality conjuncts between FROM items into hash joins and
+filters with every other conjunct.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from .expressions import (
     ColumnRef,
     EvalContext,
     Expression,
+    Literal,
     Star,
+    _as_boolean,
+    rewrite,
 )
 from .relation import Relation
 from .schema import Column, Schema
@@ -72,9 +75,9 @@ class ExecutionEnv:
     subquery_evaluator: Optional[Callable[[Any, EvalContext], list[tuple]]] = None
     outer_context: Optional[EvalContext] = None
 
-    def make_context(self, schema: Schema, row: Optional[tuple]) -> EvalContext:
+    def make_context(self, row: Optional[tuple]) -> EvalContext:
         """Build an :class:`EvalContext` chained to the outer context."""
-        return EvalContext(schema=schema, row=row, outer=self.outer_context,
+        return EvalContext(row=row, outer=self.outer_context,
                            subquery_evaluator=self.subquery_evaluator)
 
 
@@ -149,8 +152,7 @@ class FilterOp(Operator):
         relation = self.child.execute(env)
         kept = []
         for row in relation.rows:
-            context = env.make_context(relation.schema, row)
-            if self.predicate.evaluate(context) is True:
+            if _as_boolean(self.predicate.evaluate(env.make_context(row))):
                 kept.append(row)
         result = Relation(relation.schema, [], coerce=False)
         result.rows = kept
@@ -183,7 +185,7 @@ class ProjectOp(Operator):
         schema = Schema([Column(output.name) for output in self.outputs])
         result = Relation(schema, [], coerce=False)
         for row in relation.rows:
-            context = env.make_context(relation.schema, row)
+            context = env.make_context(row)
             result.rows.append(tuple(output.expression.evaluate(context)
                                      for output in self.outputs))
         return result
@@ -229,8 +231,8 @@ class ThetaJoinOp(Operator):
         for left_row in left.rows:
             for right_row in right.rows:
                 joined = left_row + right_row
-                context = env.make_context(schema, joined)
-                if self.predicate.evaluate(context) is True:
+                if _as_boolean(self.predicate.evaluate(
+                        env.make_context(joined))):
                     result.rows.append(joined)
         return result
 
@@ -242,15 +244,14 @@ class ThetaJoinOp(Operator):
 class HashJoinOp(Operator):
     """Equi-join evaluated with a hash table on the right input.
 
-    ``left_keys`` and ``right_keys`` are expressions evaluated against the
-    respective inputs; rows with NULL keys never join, matching SQL.
+    ``left_keys`` and ``right_keys`` are column positions in the respective
+    input rows; rows with NULL keys never join, matching SQL.
     """
 
     left: Operator
     right: Operator
-    left_keys: list[Expression]
-    right_keys: list[Expression]
-    residual: Expression | None = None
+    left_keys: list[int]
+    right_keys: list[int]
 
     def children(self) -> Sequence[Operator]:
         return (self.left, self.right)
@@ -261,29 +262,22 @@ class HashJoinOp(Operator):
         schema = left.schema.concat(right.schema)
         index: dict[tuple, list[tuple]] = {}
         for row in right.rows:
-            context = env.make_context(right.schema, row)
-            key = tuple(expr.evaluate(context) for expr in self.right_keys)
+            key = tuple(row[position] for position in self.right_keys)
             if any(value is None for value in key):
                 continue
             index.setdefault(hash_key(key), []).append(row)
         result = Relation(schema, [], coerce=False)
         for row in left.rows:
-            context = env.make_context(left.schema, row)
-            key = tuple(expr.evaluate(context) for expr in self.left_keys)
+            key = tuple(row[position] for position in self.left_keys)
             if any(value is None for value in key):
                 continue
-            for match in index.get(hash_key(key), ()):
-                joined = row + match
-                if self.residual is not None:
-                    joined_context = env.make_context(schema, joined)
-                    if self.residual.evaluate(joined_context) is not True:
-                        continue
-                result.rows.append(joined)
+            result.rows.extend(row + match
+                               for match in index.get(hash_key(key), ()))
         return result
 
     def describe(self) -> str:
-        keys = ", ".join(f"{l.sql()}={r.sql()}"
-                         for l, r in zip(self.left_keys, self.right_keys))
+        keys = ", ".join(f"#{left}=#{right}"
+                         for left, right in zip(self.left_keys, self.right_keys))
         return f"HashJoin({keys})"
 
 
@@ -330,40 +324,32 @@ class AggregateOp(Operator):
 
     def execute(self, env: ExecutionEnv) -> Relation:
         relation = self.child.execute(env)
-        groups = self._build_groups(env, relation)
         schema = Schema([Column(output.name) for output in self.outputs])
         result = Relation(schema, [], coerce=False)
-        for key, rows in groups:
+        for rows in self._build_groups(env, relation):
             output_row = tuple(
-                self._evaluate_output(env, relation, output.expression, key, rows)
+                self._evaluate_output(env, output.expression, rows)
                 for output in self.outputs)
-            if self.having is not None:
-                having_value = self._evaluate_output(
-                    env, relation, self.having, key, rows)
-                if having_value is not True:
-                    continue
+            if self.having is not None and not _as_boolean(
+                    self._evaluate_output(env, self.having, rows)):
+                continue
             result.rows.append(output_row)
         return result
 
     def _build_groups(self, env: ExecutionEnv,
-                      relation: Relation) -> list[tuple[tuple, list[tuple]]]:
+                      relation: Relation) -> list[list[tuple]]:
         if not self.group_keys:
             # Global aggregation: a single group containing every row.  SQL
             # produces one output row even when the input is empty.
-            return [((), list(relation.rows))]
-        order: list[tuple] = []
-        groups: dict[tuple, list[tuple]] = {}
+            return [list(relation.rows)]
+        groups: dict[tuple, list[tuple]] = {}  # insertion-ordered
         for row in relation.rows:
-            context = env.make_context(relation.schema, row)
+            context = env.make_context(row)
             key = tuple(expr.evaluate(context) for expr in self.group_keys)
-            if key not in groups:
-                order.append(key)
-                groups[key] = []
-            groups[key].append(row)
-        return [(key, groups[key]) for key in order]
+            groups.setdefault(key, []).append(row)
+        return list(groups.values())
 
-    def _evaluate_output(self, env: ExecutionEnv, relation: Relation,
-                         expression: Expression, group_key: tuple,
+    def _evaluate_output(self, env: ExecutionEnv, expression: Expression,
                          rows: list[tuple]) -> Any:
         """Evaluate an output expression over one group.
 
@@ -372,28 +358,20 @@ class AggregateOp(Operator):
         (they are grouping columns, so every row agrees).
         """
         if isinstance(expression, AggregateCall):
-            return self._run_aggregate(env, relation, expression, rows)
+            return self._run_aggregate(env, expression, rows)
         if isinstance(expression, ColumnRef) or not expression.children():
-            representative = rows[0] if rows else None
-            context = env.make_context(relation.schema, representative)
-            return expression.evaluate(context)
+            return expression.evaluate(env.make_context(rows[0] if rows
+                                                        else None))
         # Rebuild the expression with aggregates replaced by literals, then
         # evaluate the remainder against a representative row.
-        from .expressions import Literal
+        substituted = rewrite(expression, lambda node: Literal(
+            self._run_aggregate(env, node, rows))
+            if isinstance(node, AggregateCall) else None)
+        return substituted.evaluate(env.make_context(rows[0] if rows
+                                                     else None))
 
-        def substitute(node: Expression) -> Expression:
-            if isinstance(node, AggregateCall):
-                return Literal(self._run_aggregate(env, relation, node, rows))
-            clone = _shallow_copy_expression(node)
-            return clone
-
-        substituted = _map_expression(expression, substitute)
-        representative = rows[0] if rows else None
-        context = env.make_context(relation.schema, representative)
-        return substituted.evaluate(context)
-
-    def _run_aggregate(self, env: ExecutionEnv, relation: Relation,
-                       call: AggregateCall, rows: list[tuple]) -> Any:
+    def _run_aggregate(self, env: ExecutionEnv, call: AggregateCall,
+                       rows: list[tuple]) -> Any:
         count_star = call.argument is None or isinstance(call.argument, Star)
         aggregator = create_aggregator(call.name, distinct=call.distinct,
                                        count_star=count_star)
@@ -401,50 +379,14 @@ class AggregateOp(Operator):
             if count_star:
                 aggregator.accumulate(1)
             else:
-                context = env.make_context(relation.schema, row)
-                aggregator.accumulate(call.argument.evaluate(context))
+                aggregator.accumulate(call.argument.evaluate(
+                    env.make_context(row)))
         return aggregator.finalize()
 
     def describe(self) -> str:
         keys = ", ".join(expr.sql() for expr in self.group_keys) or "<all>"
         outs = ", ".join(f"{o.expression.sql()} AS {o.name}" for o in self.outputs)
         return f"Aggregate(group by {keys}; {outs})"
-
-
-def _shallow_copy_expression(node: Expression) -> Expression:
-    import copy
-
-    return copy.copy(node)
-
-
-def _map_expression(node: Expression,
-                    transform: Callable[[Expression], Expression]) -> Expression:
-    """Rebuild an expression tree bottom-up applying *transform* to each node."""
-    import copy
-
-    if isinstance(node, AggregateCall):
-        return transform(node)
-    clone = copy.copy(node)
-    # Rewrite known child-bearing attributes generically.
-    for attribute in ("left", "right", "operand", "low", "high", "pattern"):
-        child = getattr(clone, attribute, None)
-        if isinstance(child, Expression):
-            setattr(clone, attribute, _map_expression(child, transform))
-    if hasattr(clone, "arguments"):
-        clone.arguments = [_map_expression(argument, transform)
-                           for argument in clone.arguments]
-    if hasattr(clone, "values") and isinstance(getattr(clone, "values"), list):
-        clone.values = [_map_expression(value, transform)
-                        for value in clone.values]
-    if hasattr(clone, "branches"):
-        clone.branches = [(_map_expression(cond, transform),
-                           _map_expression(result, transform))
-                          for cond, result in clone.branches]
-        if clone.otherwise is not None:
-            clone.otherwise = _map_expression(clone.otherwise, transform)
-        if clone.operand is not None:
-            clone.operand = _map_expression(clone.operand, transform)
-    return transform(clone) if isinstance(clone, AggregateCall) else clone
 
 
 @dataclass
@@ -459,10 +401,16 @@ class SortKey:
 
 @dataclass
 class SortOp(Operator):
-    """Sort rows by a list of :class:`SortKey` items."""
+    """Sort rows by a list of :class:`SortKey` items.
+
+    With ``width`` set, the rows keep only their first ``width`` columns
+    after sorting: the trailing ones were hidden sort columns (ORDER BY
+    items that are not selected).
+    """
 
     child: Operator
     keys: list[SortKey]
+    width: int | None = None
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -473,7 +421,7 @@ class SortOp(Operator):
         relation = self.child.execute(env)
         decorated = []
         for row in relation.rows:
-            context = env.make_context(relation.schema, row)
+            context = env.make_context(row)
             values = tuple(row[key.position] if key.position is not None
                            else key.expression.evaluate(context)
                            for key in self.keys)
@@ -481,8 +429,14 @@ class SortOp(Operator):
         for position, key in reversed(list(enumerate(self.keys))):
             decorated.sort(key=lambda item: ordering_key(item[0][position]),
                            reverse=key.descending)
-        result = Relation(relation.schema, [], coerce=False)
-        result.rows = [row for _, row in decorated]
+        width = self.width
+        if width is None:
+            result = Relation(relation.schema, [], coerce=False)
+            result.rows = [row for _, row in decorated]
+        else:
+            result = Relation(Schema(relation.schema.columns[:width]), [],
+                              coerce=False)
+            result.rows = [row[:width] for _, row in decorated]
         return result
 
     def describe(self) -> str:

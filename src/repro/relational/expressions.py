@@ -1,8 +1,9 @@
 """Scalar expression trees and their evaluation.
 
 Expressions are evaluated against an :class:`EvalContext`, which exposes the
-current row, its schema, the chain of outer rows (for correlated subqueries)
-and a callback for evaluating nested queries.  Evaluation follows SQL
+current row, the chain of outer rows (for correlated subqueries) and a
+callback for evaluating nested queries; column references arrive bound to
+positions by :mod:`repro.core.binder`.  Evaluation follows SQL
 semantics: NULL propagates through arithmetic and comparisons, and boolean
 connectives use three-valued logic.
 
@@ -12,15 +13,16 @@ SQL parser (which produces them directly) and the I-SQL engine.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from ..errors import ExpressionError, UnknownColumnError
-from .schema import Schema
+from ..errors import ExpressionError
 from .types import (
+    SqlType,
     sql_compare,
     sql_equal,
     three_valued_and,
@@ -51,6 +53,9 @@ __all__ = [
     "Like",
     "expression_columns",
     "contains_aggregate",
+    "contains_subquery",
+    "conjuncts",
+    "rewrite",
 ]
 
 
@@ -58,10 +63,12 @@ __all__ = [
 class EvalContext:
     """Everything an expression needs to evaluate itself.
 
+    Column references are bound before evaluation (:mod:`repro.core.binder`)
+    to a scope depth and a position, so a context is just the current row
+    and the chain of enclosing rows.
+
     Parameters
     ----------
-    schema:
-        Schema describing ``row``.
     row:
         The current tuple of values (may be ``None`` for constant folding).
     outer:
@@ -73,33 +80,9 @@ class EvalContext:
         substrate itself never parses SQL.
     """
 
-    schema: Schema
     row: Optional[tuple] = None
     outer: Optional["EvalContext"] = None
     subquery_evaluator: Optional[Callable[[Any, "EvalContext"], list[tuple]]] = None
-
-    def child(self, schema: Schema, row: Optional[tuple]) -> "EvalContext":
-        """Return a context for a nested scope whose outer scope is this one."""
-        return EvalContext(schema=schema, row=row, outer=self,
-                           subquery_evaluator=self.subquery_evaluator)
-
-    def resolve(self, name: str, qualifier: str | None) -> Any:
-        """Resolve a column reference in this scope or any enclosing scope."""
-        context: Optional[EvalContext] = self
-        while context is not None:
-            matches = context.schema.find(name, qualifier)
-            if len(matches) == 1:
-                if context.row is None:
-                    raise ExpressionError(
-                        f"column {name!r} referenced outside of a row context")
-                return context.row[matches[0]]
-            if len(matches) > 1:
-                # Delegate to index_of for the canonical ambiguity error.
-                context.schema.index_of(name, qualifier)
-            context = context.outer
-        visible = tuple(self.schema.qualified_names())
-        raise UnknownColumnError(
-            f"{qualifier}.{name}" if qualifier else name, visible)
 
     def evaluate_subquery(self, query: Any) -> list[tuple]:
         """Evaluate a nested query AST through the installed callback."""
@@ -204,13 +187,32 @@ class Parameter(Expression):
 
 @dataclass(repr=False)
 class ColumnRef(Expression):
-    """A reference to a column, optionally qualified (``alias.column``)."""
+    """A reference to a column, optionally qualified (``alias.column``).
+
+    The binder (:mod:`repro.core.binder`) resolves the name once per
+    statement: ``depth`` counts the enclosing SELECT blocks to climb (0 is
+    the reference's own block, >= 1 a correlated reference), ``input`` is
+    the FROM item and ``column`` the position within it, ``index`` the
+    position in the block's joined row and ``type`` the declared type.
+    """
 
     name: str
     qualifier: str | None = None
+    depth: int = field(default=0, compare=False)
+    input: int = field(default=0, compare=False)
+    column: Optional[int] = field(default=None, compare=False)
+    index: Optional[int] = field(default=None, compare=False)
+    type: SqlType = field(default=SqlType.ANY, compare=False)
 
     def evaluate(self, context: EvalContext) -> Any:
-        return context.resolve(self.name, self.qualifier)
+        depth = self.depth
+        while depth:
+            context = context.outer
+            depth -= 1
+        if context.row is None:  # e.g. an ungrouped column, empty group
+            raise ExpressionError(
+                f"column {self.name!r} referenced outside of a row context")
+        return context.row[self.index]
 
     def sql(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
@@ -218,7 +220,7 @@ class ColumnRef(Expression):
 
 @dataclass(repr=False)
 class Star(Expression):
-    """``*`` or ``alias.*`` in a select list; expanded by the planner."""
+    """``*`` or ``alias.*`` in a select list; expanded by the binder."""
 
     qualifier: str | None = None
 
@@ -492,7 +494,7 @@ class CaseExpression(Expression):
                     return result.evaluate(context)
         else:
             for condition, result in self.branches:
-                if _as_boolean(condition.evaluate(context)) is True:
+                if _as_boolean(condition.evaluate(context)):
                     return result.evaluate(context)
         if self.otherwise is not None:
             return self.otherwise.evaluate(context)
@@ -755,14 +757,17 @@ def _like_match(value: str, pattern: str) -> bool:
 
 
 def _as_boolean(value: Any) -> bool | None:
-    """Interpret a value in a boolean context (NULL stays unknown)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
+    """The truth value of *value* in a boolean context (NULL stays unknown).
+
+    A predicate must be boolean or NULL (PostgreSQL's rule).  The binder
+    refuses a declared non-boolean type before execution; a value of an
+    undeclared (``ANY``) type that is not a boolean is refused here, by the
+    one check every boolean context calls.
+    """
+    if value is None or value is True or value is False:
         return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    raise ExpressionError(f"value {value!r} is not a boolean")
+    raise ExpressionError(
+        f"argument of a boolean context must be boolean, not {value!r}")
 
 
 def _require_number(value: Any, where: str) -> None:
@@ -833,3 +838,49 @@ def contains_aggregate(expression: Expression) -> bool:
     if isinstance(expression, AggregateCall):
         return True
     return any(contains_aggregate(child) for child in expression.children())
+
+
+#: The expression nodes that carry a nested query.
+SUBQUERY_NODES = (ScalarSubquery, InSubquery, ExistsSubquery,
+                  QuantifiedComparison)
+
+
+def contains_subquery(expression: Expression) -> bool:
+    """Return True when *expression* contains a nested query."""
+    if isinstance(expression, SUBQUERY_NODES):
+        return True
+    return any(contains_subquery(child) for child in expression.children())
+
+
+def conjuncts(expression: Expression) -> list[Expression]:
+    """Split a conjunction into its top-level conjuncts."""
+    if isinstance(expression, BinaryOp) and expression.operator.lower() == "and":
+        return conjuncts(expression.left) + conjuncts(expression.right)
+    return [expression]
+
+
+def rewrite(node: Expression,
+            replace: Callable[[Expression], Optional[Expression]]) -> Expression:
+    """Rebuild an expression tree top-down, substituting every node for
+    which *replace* returns a replacement (copies keep their bindings)."""
+    replacement = replace(node)
+    if replacement is not None:
+        return replacement
+    clone = copy.copy(node)
+    for attribute in ("left", "right", "operand", "low", "high", "pattern",
+                      "argument"):
+        child = getattr(clone, attribute, None)
+        if isinstance(child, Expression):
+            setattr(clone, attribute, rewrite(child, replace))
+    for attribute in ("arguments", "values"):
+        children = getattr(clone, attribute, None)
+        if isinstance(children, list):
+            setattr(clone, attribute,
+                    [rewrite(child, replace) for child in children])
+    if isinstance(clone, CaseExpression):
+        clone.branches = [(rewrite(condition, replace),
+                           rewrite(result, replace))
+                          for condition, result in clone.branches]
+        if clone.otherwise is not None:
+            clone.otherwise = rewrite(clone.otherwise, replace)
+    return clone

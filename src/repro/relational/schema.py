@@ -58,7 +58,7 @@ class Schema:
     Column lookup is case-insensitive, mirroring SQL identifier rules.
     """
 
-    __slots__ = ("_columns", "_find_cache")
+    __slots__ = ("_columns",)
 
     def __init__(self, columns: Iterable[Column | str]) -> None:
         normalized: list[Column] = []
@@ -71,10 +71,6 @@ class Schema:
                 raise SchemaError(
                     f"schema entries must be Column or str, got {column!r}")
         self._columns: tuple[Column, ...] = tuple(normalized)
-        #: Memoised reference lookups (name, qualifier) -> indexes.  Sound
-        #: because the schema is immutable; hot because expression
-        #: evaluation resolves the same references once per row.
-        self._find_cache: dict[tuple[str, str | None], list[int]] = {}
         self._check_no_duplicates()
 
     def _check_no_duplicates(self) -> None:
@@ -132,13 +128,8 @@ class Schema:
 
     def find(self, name: str, qualifier: str | None = None) -> list[int]:
         """Return the indexes of all columns matching the reference."""
-        key = (name.lower(), qualifier.lower() if qualifier else None)
-        found = self._find_cache.get(key)
-        if found is None:
-            found = [index for index, column in enumerate(self._columns)
-                     if column.matches(name, qualifier)]
-            self._find_cache[key] = found
-        return found
+        return [index for index, column in enumerate(self._columns)
+                if column.matches(name, qualifier)]
 
     def index_of(self, name: str, qualifier: str | None = None) -> int:
         """Return the index of the unique column matching the reference.

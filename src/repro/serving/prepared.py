@@ -147,6 +147,9 @@ class PreparedStatement:
                     # in-memory state may be ahead of the log, and running
                     # more writes would widen the divergence.
                     self._store.check_writable()
+                    # Built before the write runs: a parameter the log
+                    # cannot store is refused while nothing has changed.
+                    record = sql_record(self.sql, parameters)
                 with bound_parameters(parameters):
                     result = self._backend.execute_statement(
                         self.statement, options=options)
@@ -155,8 +158,7 @@ class PreparedStatement:
                     # the release below will publish, so WAL order is
                     # exactly generation order.
                     self._store.log_commit(
-                        self._lock.generation + 1,
-                        sql_record(self.sql, parameters),
+                        self._lock.generation + 1, record,
                         statement=self.statement)
             except BaseException:
                 # The write failed (or was not durably logged): the

@@ -207,6 +207,10 @@ def execute_request(session: "MayBMS", sql: str, params: list,
         if cached is not None:
             return 200, cached, {}, None
     try:
+        # A write's redo record is built before it runs, so a parameter the
+        # record cannot carry is refused while nothing has changed.
+        committed = None if prepared.is_read \
+            else sql_record(sql, tuple(params))
         result, generation = prepared.execute_with_generation(
             tuple(params), options or None)
     except WriteTimeoutError as error:
@@ -236,7 +240,6 @@ def execute_request(session: "MayBMS", sql: str, params: list,
             result_cache.put(result_cache.key(sql, params, generation),
                              payload)
         return 200, payload, {}, None
-    committed = sql_record(sql, tuple(params))
     committed["g"] = generation
     return 200, payload, {}, committed
 

@@ -44,7 +44,13 @@ __all__ = [
 
 
 class Statement:
-    """Base class of every executable statement."""
+    """Base class of every executable statement.
+
+    ``bound_to`` identifies the schemas the binder last resolved the
+    statement against (:meth:`repro.core.binder.Binder.bind_statement`).
+    """
+
+    bound_to: object = None
 
 
 class Query(Statement):
@@ -86,8 +92,7 @@ class NamedTableRef(TableRef):
 
     name: str
     alias: Optional[str] = None
-    repair: Optional[RepairByKeyClause] = None
-    choice: Optional[ChoiceOfClause] = None
+    decoration: Optional[RepairByKeyClause | ChoiceOfClause] = None
 
     def effective_alias(self) -> str:
         """The qualifier under which the table's columns are visible."""
@@ -98,14 +103,13 @@ class NamedTableRef(TableRef):
 class DerivedTableRef(TableRef):
     """A parenthesised subquery used as a table, with a mandatory alias.
 
-    Like named references, a derived table may carry ``repair by key`` or
-    ``choice of`` decorations, which apply to the subquery's result.
+    Like named references, a derived table may carry a ``repair by key`` or
+    ``choice of`` decoration, which applies to the subquery's result.
     """
 
     query: "Query"
     alias: str
-    repair: Optional[RepairByKeyClause] = None
-    choice: Optional[ChoiceOfClause] = None
+    decoration: Optional[RepairByKeyClause | ChoiceOfClause] = None
 
     def effective_alias(self) -> str:
         return self.alias
@@ -153,6 +157,13 @@ class SelectQuery(Query):
         The world-level condition of an ``ASSERT`` clause, or None.
     group_worlds_by:
         The world-grouping subquery, or None.
+
+    The binder (:mod:`repro.core.binder`) fills the remaining fields:
+    ``outputs`` is the select list with ``*`` expanded and output names
+    made unique, ``order_keys`` the ORDER BY as sort keys over the output
+    row, ``order_extras`` the expressions of ORDER BY items that are not
+    selected (sorted on as hidden trailing columns) and ``correlated`` marks
+    a block that references an enclosing block's columns.
     """
 
     select_items: list[SelectItem] = field(default_factory=list)
@@ -168,6 +179,11 @@ class SelectQuery(Query):
     conf: bool = False
     assert_condition: Optional[Expression] = None
     group_worlds_by: Optional[GroupWorldsByClause] = None
+    outputs: list = field(default_factory=list, compare=False, repr=False)
+    order_keys: list = field(default_factory=list, compare=False, repr=False)
+    order_extras: list = field(default_factory=list, compare=False,
+                               repr=False)
+    correlated: bool = field(default=False, compare=False, repr=False)
 
 
 @dataclass
@@ -181,15 +197,21 @@ class CompoundQuery(Query):
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     offset: int = 0
+    order_keys: list = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass
 class CreateTableAs(Statement):
-    """``CREATE TABLE name AS query`` — materialise the query in every world."""
+    """``CREATE TABLE name AS query`` — materialise the query in every world.
+
+    ``columns`` is the typed result schema the binder derives from the
+    declared schemas; the new table is stored with it.
+    """
 
     name: str
     query: Query
     or_replace: bool = False
+    columns: Optional[list] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

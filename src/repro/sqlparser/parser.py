@@ -324,23 +324,20 @@ class Parser:
             self._expect(TokenType.RPAREN, "')' after derived table")
             self._match_keyword("as")
             alias = self._identifier("an alias for the derived table")
-            repair, choice = self._table_decorations()
             return DerivedTableRef(query=query, alias=alias,
-                                   repair=repair, choice=choice)
+                                   decoration=self._table_decoration())
         name = self._identifier("a table name")
         alias: Optional[str] = None
         if self._match_keyword("as"):
             alias = self._identifier("an alias after AS")
         elif self._check(TokenType.IDENTIFIER):
             alias = self._advance().value
-        repair, choice = self._table_decorations()
-        return NamedTableRef(name=name, alias=alias, repair=repair, choice=choice)
+        return NamedTableRef(name=name, alias=alias,
+                             decoration=self._table_decoration())
 
-    def _table_decorations(self) -> tuple[Optional[RepairByKeyClause],
-                                          Optional[ChoiceOfClause]]:
+    def _table_decoration(self
+                          ) -> Optional[RepairByKeyClause | ChoiceOfClause]:
         """Parse an optional REPAIR BY KEY or CHOICE OF decoration."""
-        repair = None
-        choice = None
         if self._check_keyword("repair"):
             self._advance()
             self._expect_keyword("by")
@@ -349,16 +346,16 @@ class Parser:
             weight = None
             if self._match_keyword("weight"):
                 weight = self._identifier("a weight attribute")
-            repair = RepairByKeyClause(attributes=attributes, weight=weight)
-        elif self._check_keyword("choice"):
+            return RepairByKeyClause(attributes=attributes, weight=weight)
+        if self._check_keyword("choice"):
             self._advance()
             self._expect_keyword("of")
             attributes = self._identifier_list("a choice attribute")
             weight = None
             if self._match_keyword("weight"):
                 weight = self._identifier("a weight attribute")
-            choice = ChoiceOfClause(attributes=attributes, weight=weight)
-        return repair, choice
+            return ChoiceOfClause(attributes=attributes, weight=weight)
+        return None
 
     def _identifier(self, description: str) -> str:
         if self._check(TokenType.IDENTIFIER):

@@ -9,19 +9,19 @@ decoder never guesses:
     a JSON-native scalar (``None`` / bool / int / float / str) stored as
     itself (the store reads its own files with Python's ``json``, whose
     default non-strict mode round-trips ``NaN`` / ``Infinity`` too);
-``["p", base64]``
-    anything else, pickled (protocol-stable within one repo checkout — the
-    WAL is a crash-recovery log, not an archival format);
 ``["F", relation, tuple_id, attribute]``
     a :class:`~repro.wsd.fields.Field` placeholder in a template cell.
+
+Engine values are JSON scalars, so any other value is refused when written;
+the ``["p", ...]`` cells of earlier formats (serialised Python objects) are
+refused when read.
 """
 
 from __future__ import annotations
 
-import base64
-import pickle
 from typing import Any, Sequence
 
+from ..errors import StorageError
 from ..relational.schema import Column
 from ..relational.types import SqlType
 from ..wsd.fields import Field
@@ -29,27 +29,17 @@ from ..wsd.fields import Field
 __all__ = [
     "encode_value", "decode_value", "encode_cell", "decode_cell",
     "encode_field", "decode_field", "encode_row", "decode_row",
-    "encode_columns", "decode_columns", "pickle_to_text", "pickle_from_text",
+    "encode_columns", "decode_columns",
 ]
 
 _SCALARS = (bool, int, float, str)
-
-
-def pickle_to_text(value: Any) -> str:
-    """Pickle *value* into a base64 text blob (for JSON embedding)."""
-    return base64.b64encode(pickle.dumps(value)).decode("ascii")
-
-
-def pickle_from_text(text: str) -> Any:
-    """Invert :func:`pickle_to_text`."""
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
 def encode_value(value: Any) -> list:
     """Encode one plain value (no :class:`Field` placeholders)."""
     if value is None or isinstance(value, _SCALARS):
         return ["v", value]
-    return ["p", pickle_to_text(value)]
+    raise StorageError(f"cannot store the non-scalar value {value!r}")
 
 
 def decode_value(tagged: Sequence) -> Any:
@@ -57,7 +47,9 @@ def decode_value(tagged: Sequence) -> Any:
     if tag == "v":
         return tagged[1]
     if tag == "p":
-        return pickle_from_text(tagged[1])
+        raise StorageError("a 'p' cell (a serialised Python object, a "
+                           "legacy format) is not readable; rebuild the "
+                           "data directory")
     raise ValueError(f"unknown value tag {tag!r}")
 
 

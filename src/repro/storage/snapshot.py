@@ -39,7 +39,6 @@ from .codec import (
     encode_cell,
     encode_field,
     encode_row,
-    pickle_from_text,
 )
 from .faultinject import FaultInjector
 from .wal import _fsync_directory
@@ -66,7 +65,7 @@ def write_snapshot(directory: str, generation: int, backend,
     """Atomically write the full state of *backend* at *generation*.
 
     *view_sql* is the store's replayable view registry (name -> ``{"sql"}``
-    or ``{"pickle"}`` entry) — the backend's ``views`` dict holds parsed
+    entry) — the backend's ``views`` dict holds parsed
     ASTs, which are not round-trippable as text.  Returns the final path.
     """
     injector = injector or FaultInjector()
@@ -357,8 +356,8 @@ def _install_views(backend, view_sql: dict) -> None:
 
     backend.views.clear()
     for name, entry in view_sql.items():
-        if "sql" in entry:
-            statement = parse_statement(entry["sql"])
-        else:
-            statement = pickle_from_text(entry["pickle"])
-        backend.views[name] = statement.query
+        if "sql" not in entry:
+            raise StorageError(
+                f"view {name!r} is stored as a serialised object (a legacy "
+                "format) and cannot be read; rebuild the data directory")
+        backend.views[name] = parse_statement(entry["sql"]).query

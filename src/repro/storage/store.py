@@ -41,15 +41,13 @@ from .codec import (
     decode_row,
     encode_columns,
     encode_row,
-    pickle_from_text,
-    pickle_to_text,
 )
 from .faultinject import FaultInjector
 from .snapshot import load_snapshot, write_snapshot
 from .wal import WriteAheadLog, _fsync_directory
 
 __all__ = ["DurabilityConfig", "DurableStore", "RecoveryReport",
-           "apply_record", "sql_record", "ast_record", "create_table_record",
+           "apply_record", "sql_record", "create_table_record",
            "register_relation_record", "insert_record"]
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{16})\.db$")
@@ -120,11 +118,6 @@ def sql_record(sql: str, parameters: tuple = ()) -> dict:
     return record
 
 
-def ast_record(statement: Statement) -> dict:
-    """A committed raw-AST statement (no SQL text available)."""
-    return {"op": "ast", "data": pickle_to_text(statement)}
-
-
 def create_table_record(name: str, columns, rows: list,
                         primary_key) -> dict:
     return {"op": "create_table", "name": name,
@@ -151,9 +144,10 @@ def apply_record(backend, record: dict) -> Statement | None:
     through it, and the multi-process serving layer replays writer->worker
     replication records through it — the two streams share the same record
     vocabulary, so a replicated statement applies exactly as a recovered
-    one.  Returns the parsed/unpickled statement for ``sql``/``ast`` records
-    (so callers can observe view DDL) and ``None`` for structured
-    programmatic ops.
+    one.  Returns the parsed statement for ``sql`` records (so callers can
+    observe view DDL) and ``None`` for structured programmatic ops.  The
+    ``ast`` records of earlier formats (serialised statement objects) are
+    refused.
     """
     op = record.get("op")
     try:
@@ -164,9 +158,10 @@ def apply_record(backend, record: dict) -> Statement | None:
                 backend.execute_statement(statement)
             return statement
         if op == "ast":
-            statement = pickle_from_text(record["data"])
-            backend.execute_statement(statement)
-            return statement
+            raise RecoveryError(
+                f"record g={record.get('g')} is an 'ast' record (a "
+                "serialised statement object, a legacy format) and cannot "
+                "be replayed; rebuild the data directory")
         if op == "create_table":
             backend.create_table(
                 record["name"], decode_columns(record["columns"]),
@@ -211,8 +206,8 @@ class DurableStore:
         self.backend = None
         self.lock = None
         self.wal: WriteAheadLog | None = None
-        #: Replayable view registry (lower-cased name -> ``{"sql"}`` or
-        #: ``{"pickle"}``): what snapshots store instead of parsed ASTs.
+        #: Replayable view registry (lower-cased name -> ``{"sql"}``): what
+        #: snapshots store instead of parsed ASTs.
         self.view_sql: dict[str, dict] = {}
         self.snapshot_generation = 0
         self._records_since_snapshot = 0
@@ -365,13 +360,11 @@ class DurableStore:
 
     def _observe_statement(self, statement: Statement | None,
                            record: dict) -> None:
-        """Keep the replayable view registry in sync with view DDL."""
+        """Keep the replayable view registry in sync with view DDL (always
+        an unparameterised ``sql`` record: the parser refuses ``?`` in
+        CREATE VIEW)."""
         if isinstance(statement, CreateView):
-            if record.get("op") == "sql" and not record.get("params"):
-                entry = {"sql": record["sql"]}
-            else:
-                entry = {"pickle": pickle_to_text(statement)}
-            self.view_sql[statement.name.lower()] = entry
+            self.view_sql[statement.name.lower()] = {"sql": record["sql"]}
         elif isinstance(statement, DropView):
             self.view_sql.pop(statement.name.lower(), None)
 

@@ -45,7 +45,6 @@ distribution just stays finer-grained than strictly necessary.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Optional, Sequence
 
@@ -53,15 +52,16 @@ from ..errors import AggregateError, ResourceBudgetError
 from ..relational.expressions import (
     AggregateCall,
     EvalContext,
-    ExistsSubquery,
     Expression,
-    InSubquery,
-    QuantifiedComparison,
+    SUBQUERY_NODES,
     ScalarSubquery,
     Star,
+    _as_boolean,
+    conjuncts,
     contains_aggregate,
+    contains_subquery,
+    rewrite,
 )
-from ..relational.schema import Schema
 from ..relational.types import sql_compare
 from ..sqlparser.ast_nodes import NamedTableRef, SelectQuery
 from .confidence import connected_groups
@@ -467,19 +467,14 @@ def _canonical_mapping(states: dict[tuple, tuple]) -> tuple:
 # -- slotted expressions (aggregate / key / subquery substitution) -------------------------
 
 
-_EMPTY_SCHEMA = Schema([])
-
-_SUBQUERY_NODES = (ScalarSubquery, InSubquery, ExistsSubquery,
-                   QuantifiedComparison)
-
 
 @dataclass
 class _SlotContext(EvalContext):
     """An :class:`EvalContext` carrying the per-execution slot values.
 
-    Slotted expressions have no column references left, so the schema/row
-    halves stay empty; :class:`_ValueSlot` nodes read their value banks off
-    ``slots`` instead of any mutable node state.
+    Slotted expressions have no column references left, so the row stays
+    empty; :class:`_ValueSlot` nodes read their value banks off ``slots``
+    instead of any mutable node state.
     """
 
     slots: "EvalSlots | None" = None
@@ -501,11 +496,7 @@ class EvalSlots:
         self.agg_values: Sequence[Any] = ()
         self.key_values: Sequence[Any] = ()
         self.sub_values: Sequence[Any] = ()
-        self.context = _SlotContext(schema=_EMPTY_SCHEMA, row=(), slots=self)
-
-    def row_context(self, schema: Schema) -> EvalContext:
-        """A fresh re-pointable row context for batch/row evaluation."""
-        return EvalContext(schema=schema, row=None)
+        self.context = _SlotContext(row=(), slots=self)
 
 
 class _ValueSlot(Expression):
@@ -533,40 +524,12 @@ class _ValueSlot(Expression):
         return f"<slot {self.bank}[{self.index}]>"
 
 
-def _rewrite(node: Expression,
-             replace: Callable[[Expression], Optional[Expression]]) -> Expression:
-    """Rebuild an expression tree, substituting where *replace* matches."""
-    replacement = replace(node)
-    if replacement is not None:
-        return replacement
-    clone = copy.copy(node)
-    for attribute in ("left", "right", "operand", "low", "high", "pattern",
-                      "argument"):
-        child = getattr(clone, attribute, None)
-        if isinstance(child, Expression):
-            setattr(clone, attribute, _rewrite(child, replace))
-    arguments = getattr(clone, "arguments", None)
-    if isinstance(arguments, list):
-        clone.arguments = [_rewrite(argument, replace)
-                           for argument in arguments]
-    values = getattr(clone, "values", None)
-    if isinstance(values, list):
-        clone.values = [_rewrite(value, replace) for value in values]
-    branches = getattr(clone, "branches", None)
-    if branches is not None:
-        clone.branches = [(_rewrite(condition, replace),
-                           _rewrite(result, replace))
-                          for condition, result in branches]
-        if clone.otherwise is not None:
-            clone.otherwise = _rewrite(clone.otherwise, replace)
-    return clone
-
 
 def _has_unbound_references(node: Expression) -> bool:
     """True when the (rewritten) tree still needs a row or a subquery."""
     from ..relational.expressions import ColumnRef
 
-    if isinstance(node, (ColumnRef, AggregateCall) + _SUBQUERY_NODES):
+    if isinstance(node, (ColumnRef, AggregateCall) + SUBQUERY_NODES):
         return True
     return any(_has_unbound_references(child) for child in node.children())
 
@@ -612,13 +575,13 @@ def _build_slotted(expression: Expression, calls: Sequence[AggregateCall],
             if node is subquery:
                 return _ValueSlot("sub_values", index)
         if key_sql and not contains_aggregate(node) \
-                and not isinstance(node, _SUBQUERY_NODES):
+                and not isinstance(node, SUBQUERY_NODES):
             rendered = node.sql().lower()
             if rendered in key_sql:
                 return _ValueSlot("key_values", key_sql.index(rendered))
         return None
 
-    rebuilt = _rewrite(expression, replace)
+    rebuilt = rewrite(expression, replace)
     if _has_unbound_references(rebuilt):
         return None
     return _SlottedExpression(rebuilt)
@@ -696,7 +659,8 @@ class AggregatePlan:
             return False
         if self.having is not None:
             values = self.finalized_values(state)
-            if self.having.evaluate(values, key, slots=slots) is not True:
+            if not _as_boolean(self.having.evaluate(values, key,
+                                                    slots=slots)):
                 return False
         return True
 
@@ -745,7 +709,7 @@ def plan_contributions(plan: "AggregatePlan", joined,
     contributions: list[Contribution] = []
     # Re-pointed context: key and argument expressions are subquery-free by
     # plan analysis, so nothing retains the context beyond each evaluate.
-    context = slots.row_context(joined.schema)
+    context = EvalContext()
     for sym in joined.tuples:
         context.row = sym.row
         key = tuple(expr.evaluate(context) for expr in plan.key_exprs)
@@ -764,15 +728,12 @@ def plan_contributions(plan: "AggregatePlan", joined,
 
 def _collect_subqueries(node: Expression) -> list[Expression]:
     found: list[Expression] = []
-    if isinstance(node, _SUBQUERY_NODES):
+    if isinstance(node, SUBQUERY_NODES):
         found.append(node)
     for child in node.children():
         found.extend(_collect_subqueries(child))
     return found
 
-
-def _contains_subquery(node: Expression) -> bool:
-    return bool(_collect_subqueries(node))
 
 
 def _collect_calls(node: Expression, into: list[AggregateCall]) -> None:
@@ -800,21 +761,19 @@ def analyse_aggregate_query(query) -> Optional[AggregatePlan]:
 
 
 def _analyse_aggregate_select(query: SelectQuery) -> Optional[AggregatePlan]:
-    from ..core.planner import output_name
-
     if query.quantifier not in (None, "possible", "certain"):
         return None
     if query.where is not None and (
-            _contains_subquery(query.where) or contains_aggregate(query.where)):
+            contains_subquery(query.where) or contains_aggregate(query.where)):
         return None
     for key in query.group_by:
-        if contains_aggregate(key) or _contains_subquery(key):
+        if contains_aggregate(key) or contains_subquery(key):
             return None
     checked = [item.expression for item in query.select_items]
     if query.having is not None:
         checked.append(query.having)
     for expression in checked:
-        if _contains_subquery(expression):
+        if contains_subquery(expression):
             return None
     if any(isinstance(item.expression, Star) for item in query.select_items):
         return None
@@ -827,7 +786,7 @@ def _analyse_aggregate_select(query: SelectQuery) -> Optional[AggregatePlan]:
     for call in calls:
         if call.argument is not None and (
                 contains_aggregate(call.argument)
-                or _contains_subquery(call.argument)):
+                or contains_subquery(call.argument)):
             return None
         spec = _spec_for(call)
         if spec is None:
@@ -842,25 +801,16 @@ def _analyse_aggregate_select(query: SelectQuery) -> Optional[AggregatePlan]:
         if any(sql not in item_sql for sql in key_sql):
             return None
     outputs: list[_OutputItem] = []
-    for position, item in enumerate(query.select_items):
-        name = output_name(item, position)
-        rendered = item.expression.sql().lower()
+    for output in query.outputs:  # the binder's unique output names
+        rendered = output.expression.sql().lower()
         if rendered in key_sql:
-            outputs.append(_OutputItem(name, key_index=key_sql.index(rendered)))
+            outputs.append(_OutputItem(output.name,
+                                       key_index=key_sql.index(rendered)))
             continue
-        slotted = _build_slotted(item.expression, calls, query.group_by)
+        slotted = _build_slotted(output.expression, calls, query.group_by)
         if slotted is None:
             return None
-        outputs.append(_OutputItem(name, slotted=slotted))
-    names_seen: set[str] = set()
-    for index, output in enumerate(outputs):
-        name = output.name
-        counter = 2
-        while name.lower() in names_seen:
-            name = f"{output.name}_{counter}"
-            counter += 1
-        names_seen.add(name.lower())
-        outputs[index] = _OutputItem(name, output.key_index, output.slotted)
+        outputs.append(_OutputItem(output.name, slotted=slotted))
     having = None
     if query.having is not None:
         having = _build_slotted(query.having, calls, query.group_by)
@@ -872,8 +822,6 @@ def _analyse_aggregate_select(query: SelectQuery) -> Optional[AggregatePlan]:
 
 
 def _analyse_conf_where(query: SelectQuery) -> Optional[AggregatePlan]:
-    from ..core.planner import _flatten_and
-
     if not query.conf or query.quantifier is not None:
         return None
     if query.group_by or query.having is not None:
@@ -882,10 +830,10 @@ def _analyse_conf_where(query: SelectQuery) -> Optional[AggregatePlan]:
         return None
     plain: list[Expression] = []
     world: list[Expression] = []
-    for conjunct in _flatten_and(query.where):
+    for conjunct in conjuncts(query.where):
         if contains_aggregate(conjunct):
             return None
-        if _contains_subquery(conjunct):
+        if contains_subquery(conjunct):
             world.append(conjunct)
         else:
             plain.append(conjunct)
@@ -921,7 +869,7 @@ def _analyse_conf_where(query: SelectQuery) -> Optional[AggregatePlan]:
 def _analyse_scalar_aggregate_subquery(node: ScalarSubquery
                                        ) -> Optional[_SubqueryAggregate]:
     query = node.query
-    if not isinstance(query, SelectQuery):
+    if not isinstance(query, SelectQuery) or query.correlated:
         return None
     if (query.quantifier is not None or query.conf
             or query.assert_condition is not None
@@ -933,14 +881,13 @@ def _analyse_scalar_aggregate_subquery(node: ScalarSubquery
     if len(query.select_items) != 1:
         return None
     for ref in query.from_clause:
-        if not isinstance(ref, NamedTableRef) or ref.repair is not None \
-                or ref.choice is not None:
+        if not isinstance(ref, NamedTableRef) or ref.decoration is not None:
             return None
     if query.where is not None and (
-            _contains_subquery(query.where) or contains_aggregate(query.where)):
+            contains_subquery(query.where) or contains_aggregate(query.where)):
         return None
     expression = query.select_items[0].expression
-    if _contains_subquery(expression):
+    if contains_subquery(expression):
         return None
     calls: list[AggregateCall] = []
     _collect_calls(expression, calls)
@@ -950,7 +897,7 @@ def _analyse_scalar_aggregate_subquery(node: ScalarSubquery
     for call in calls:
         if call.argument is not None and (
                 contains_aggregate(call.argument)
-                or _contains_subquery(call.argument)):
+                or contains_subquery(call.argument)):
             return None
         spec = _spec_for(call)
         if spec is None:

@@ -3,8 +3,7 @@
 The symbolic tier's dominant constant factor used to be per-row expression
 interpretation: ``_filter`` / ``_project`` / ``_hash_join`` walked one
 :class:`~repro.relational.expressions.EvalContext` per :class:`SymTuple`,
-paying name resolution (``schema.find``), operator dispatch and three-valued
-glue for **every row**.  This module compiles a predicate or projection once
+paying operator dispatch and three-valued glue for **every row**.  This module compiles a predicate or projection once
 per batch into closures over parallel column arrays: each column is pulled
 out of the row tuples in a single comprehension, comparisons run as one
 tight pass producing a vectorised three-valued mask, and per-row work drops
@@ -47,7 +46,6 @@ from ..relational.expressions import (
     _as_boolean,
     _compare,
 )
-from ..relational.schema import Schema
 from ..relational.types import (
     three_valued_and,
     three_valued_not,
@@ -72,7 +70,7 @@ _Node = Callable[[Sequence], Any]
 #: Parameter nodes read the calling thread's binding; they need a context
 #: object but no row, so one empty shared context suffices (it is never
 #: mutated).
-_PARAM_CONTEXT = EvalContext(schema=Schema([]), row=())
+_PARAM_CONTEXT = EvalContext(row=())
 
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
@@ -87,13 +85,11 @@ def _as_column(result: Any, rows: Sequence) -> list:
         else result
 
 
-def _compile_column_ref(node: ColumnRef, schema: Schema) -> Optional[_Node]:
-    matches = schema.find(node.name, node.qualifier)
-    if len(matches) != 1:
-        # Ambiguous or unresolved (e.g. correlated) references keep the
-        # interpreted path, which raises the canonical error.
+def _compile_column_ref(node: ColumnRef) -> Optional[_Node]:
+    if node.depth:
+        # Correlated references read an enclosing row: interpreted path.
         return None
-    index = matches[0]
+    index = node.index
 
     def gather(rows: Sequence) -> list:
         return [row[index] for row in rows]
@@ -185,7 +181,7 @@ def _compile_arithmetic(op: str, left: _Node, right: _Node) -> _Node:
     return run
 
 
-def _compile_node(node: Expression, schema: Schema) -> Optional[_Node]:
+def _compile_node(node: Expression) -> Optional[_Node]:
     if isinstance(node, Literal):
         const = _Const(node.value)
         return lambda rows: const
@@ -194,11 +190,11 @@ def _compile_node(node: Expression, schema: Schema) -> Optional[_Node]:
         # execution, so one read per batch is exact.
         return lambda rows: _Const(node.evaluate(_PARAM_CONTEXT))
     if isinstance(node, ColumnRef):
-        return _compile_column_ref(node, schema)
+        return _compile_column_ref(node)
     if isinstance(node, BinaryOp):
         op = node.operator.lower()
-        left = _compile_node(node.left, schema)
-        right = _compile_node(node.right, schema)
+        left = _compile_node(node.left)
+        right = _compile_node(node.right)
         if left is None or right is None:
             return None
         if op in ("and", "or"):
@@ -223,7 +219,7 @@ def _compile_node(node: Expression, schema: Schema) -> Optional[_Node]:
             return concat
         return None
     if isinstance(node, UnaryOp):
-        operand = _compile_node(node.operand, schema)
+        operand = _compile_node(node.operand)
         if operand is None:
             return None
         op = node.operator.lower()
@@ -245,7 +241,7 @@ def _compile_node(node: Expression, schema: Schema) -> Optional[_Node]:
             return signed
         return None
     if isinstance(node, IsNull):
-        operand = _compile_node(node.operand, schema)
+        operand = _compile_node(node.operand)
         if operand is None:
             return None
         negated = node.negated
@@ -261,9 +257,9 @@ def _compile_node(node: Expression, schema: Schema) -> Optional[_Node]:
 
         return is_null
     if isinstance(node, Between):
-        operand = _compile_node(node.operand, schema)
-        low = _compile_node(node.low, schema)
-        high = _compile_node(node.high, schema)
+        operand = _compile_node(node.operand)
+        low = _compile_node(node.low)
+        high = _compile_node(node.high)
         if operand is None or low is None or high is None:
             return None
         lower = _compile_comparison(">=", operand, low)
@@ -299,26 +295,39 @@ def _signed_value(op: str, value: Any) -> Any:
     return -value if op == "-" else value
 
 
-def compile_predicate(predicate: Expression, schema: Schema
+def _yields_boolean(node: Expression) -> bool:
+    """True when *node* compiles to a column of True / False / None."""
+    if isinstance(node, BinaryOp):
+        return node.operator.lower() in _COMPARISON_OPS | {"and", "or"}
+    if isinstance(node, UnaryOp):
+        return node.operator.lower() == "not"
+    return isinstance(node, (IsNull, Between))
+
+
+def compile_predicate(predicate: Expression
                       ) -> Optional[Callable[[Sequence], list]]:
-    """Compile *predicate* into ``rows -> three-valued mask``, or None.
+    """Compile a bound *predicate* into ``rows -> three-valued mask``, or
+    None.
 
     The mask aligns with *rows* (the ``SymTuple`` list of a
     :class:`SymbolicRelation`); entries are True / False / None exactly as
-    the interpreted ``predicate.evaluate(context) `` per row would produce.
+    ``_as_boolean(predicate.evaluate(context))`` per row would produce,
+    including its error on a non-boolean value.
     """
-    compiled = _compile_node(predicate, schema)
+    compiled = _compile_node(predicate)
     if compiled is None:
         return None
+    checked = not _yields_boolean(predicate)
 
     def mask(rows: Sequence) -> list:
-        result = compiled([sym.row for sym in rows])
-        return _as_column(result, rows)
+        result = _as_column(compiled([sym.row for sym in rows]), rows)
+        return [_as_boolean(value) for value in result] if checked \
+            else result
 
     return mask
 
 
-def compile_projection(expressions: Sequence[Expression], schema: Schema
+def compile_projection(expressions: Sequence[Expression]
                        ) -> Optional[Callable[[Sequence], list]]:
     """Compile output *expressions* into ``rows -> list of row tuples``.
 
@@ -326,8 +335,7 @@ def compile_projection(expressions: Sequence[Expression], schema: Schema
     interpreted projection for the whole batch (mixing per-column paths
     would evaluate expressions out of row order).
     """
-    compiled = [_compile_node(expression, schema)
-                for expression in expressions]
+    compiled = [_compile_node(expression) for expression in expressions]
     if any(node is None for node in compiled):
         return None
 

@@ -126,10 +126,24 @@ def normalise_clauses(raw: Iterable[Iterable[Atom]],
     * duplicate clauses collapse (the result is a set).
 
     Returns ``None`` when some clause normalises to the empty (always-true)
-    clause, i.e. the whole DNF is a tautology with probability one.
+    clause, i.e. the whole DNF is a tautology with probability one.  A
+    clause already in that form (strictly increasing component indexes,
+    every allowed set non-empty and proper — every executor condition) is
+    kept as it is, in one pass.
     """
     clauses: set[Clause] = set()
     for clause in raw:
+        clause = tuple(clause)
+        previous = -1
+        for index, alternatives in clause:
+            if index <= previous or not 0 < len(alternatives) < sizes[index]:
+                break
+            previous = index
+        else:
+            if not clause:
+                return None
+            clauses.add(clause)
+            continue
         allowed: dict[int, frozenset[int]] = {}
         satisfiable = True
         for index, alternatives in clause:
@@ -368,12 +382,14 @@ class ConfidenceLadder:
     """Answers ``P(DNF)`` and "DNF holds in every world" over one component
     list, cheapest rung first.
 
+    Each DNF is normalised once, on entry (:func:`normalise_clauses`): no
+    atom then covers its whole component, and every rung gets a checked DNF.
+
     1. **Closed forms** — a single clause multiplies its atom masses; a
        disjunction of single-atom clauses is ``1 - prod_c (1 - P(event_c))``
-       over the per-component unions.  Both assume the invariant of
-       :class:`~repro.wsd.execute.Condition`: no stored atom covers its
-       whole component, so one clause holds in some worlds but not all, and
-       a disjunction covers every world only when a merged union does.
+       over the per-component unions.  With no atom covering its whole
+       component, one clause holds in some worlds but not all, and such a
+       disjunction covers every world only when a merged union does.
     2. **The d-tree** (:class:`DTreeEngine`), exact under its node budget.
     3. **Guarded joint enumeration** of the touched components
        (:func:`~repro.wsd.decomposition.joint_alternatives`, guarded by
@@ -424,14 +440,21 @@ class ConfidenceLadder:
         is the sampler's :class:`~repro.wsd.approximate.ApproximateConfidence`
         for the caller to record.
         """
-        if any(not clause for clause in clauses):
+        clauses = normalise_clauses(clauses, self.engine._sizes)
+        if clauses is None:
             return 1.0, None
         if not clauses:
             return 0.0, None
-        closed = self._closed_form(clauses)
-        if closed is not None:
+        if len(clauses) == 1:
             self.stats.closed_form += 1
-            return closed[0], None
+            return self.engine.clause_probability(next(iter(clauses))), None
+        unions = self._single_atom_unions(clauses)
+        if unions is not None:
+            self.stats.closed_form += 1
+            miss = 1.0
+            for index, union in unions.items():
+                miss *= 1.0 - self.engine.atom_mass(index, union)
+            return 1.0 - miss, None
         try:
             return self.engine.probability(clauses), None
         except DTreeBudgetExceededError:
@@ -447,13 +470,15 @@ class ConfidenceLadder:
         """True when the disjunction of *clauses* holds in every world
         (``certain``): the same rungs as :meth:`probability`, never
         sampled."""
-        if any(not clause for clause in clauses):
+        clauses = normalise_clauses(clauses, self.engine._sizes)
+        if clauses is None:
             return True
-        if not clauses:
+        if len(clauses) <= 1:
             return False
-        closed = self._closed_form(clauses)
-        if closed is not None:
-            return closed[1]
+        unions = self._single_atom_unions(clauses)
+        if unions is not None:
+            return any(len(union) == len(self.components[index])
+                       for index, union in unions.items())
         try:
             return self.engine.is_tautology(clauses)
         except DTreeBudgetExceededError:
@@ -472,24 +497,18 @@ class ConfidenceLadder:
                 return False
         return True
 
-    def _closed_form(self, clauses: Sequence[Sequence[Atom]]
-                     ) -> Optional[tuple[float, bool]]:
-        """``(probability, covers)`` via a linear closed form, if one
-        applies (see the class docstring for the invariant it needs)."""
-        if len(clauses) == 1:
-            return self.engine.clause_probability(clauses[0]), False
-        if not all(len(clause) == 1 for clause in clauses):
-            return None
-        merged: dict[int, frozenset[int]] = {}
-        for ((index, allowed),) in clauses:
-            merged[index] = merged.get(index, frozenset()) | allowed
-        miss = 1.0
-        covers = False
-        for index, union in merged.items():
-            miss *= 1.0 - self.engine.atom_mass(index, union)
-            if len(union) == len(self.components[index].alternatives):
-                covers = True
-        return 1.0 - miss, covers
+    @staticmethod
+    def _single_atom_unions(clauses: frozenset[Clause]
+                            ) -> Optional[dict[int, frozenset[int]]]:
+        """When every clause is one atom, the union of the allowed sets per
+        component — the closed form's input — else None."""
+        unions: dict[int, frozenset[int]] = {}
+        for clause in clauses:
+            if len(clause) != 1:
+                return None
+            ((index, allowed),) = clause
+            unions[index] = unions.get(index, frozenset()) | allowed
+        return unions
 
     def _enumerate(self, clauses: Sequence[Sequence[Atom]]
                    ) -> tuple[float, bool]:

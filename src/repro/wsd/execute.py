@@ -46,7 +46,7 @@ Views and derived tables (installed as transient relations), set-operation
 operands and ``CREATE TABLE AS`` go through one routine,
 :meth:`WSDExecutor._query_entries`, over the strategies above.  The executor
 never enumerates worlds: ``repair by key`` / ``choice of`` on an uncertain
-relation, view or derived table, or both on one FROM item, raise
+relation, view or derived table raise
 :class:`~repro.errors.UnsupportedFeatureError`.
 
 After ``assert`` conditioning the derived decomposition is re-normalised
@@ -56,7 +56,7 @@ After ``assert`` conditioning the derived decomposition is re-normalised
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -64,21 +64,24 @@ from ..errors import (
     AnalysisError,
     DecompositionError,
     ExpressionError,
-    UnknownColumnError,
     UnknownRelationError,
     UnsupportedFeatureError,
     WorldSetError,
 )
+from ..core.planner import filter_ready, split_equi_keys
 from ..relational.catalog import Catalog
 from ..relational.expressions import (
+    BinaryOp,
     EvalContext,
     ExistsSubquery,
     Expression,
-    InSubquery,
-    QuantifiedComparison,
-    ScalarSubquery,
     Star,
+    SUBQUERY_NODES,
+    UnaryOp,
+    _as_boolean,
+    conjuncts,
     contains_aggregate,
+    contains_subquery,
 )
 from ..relational.relation import Relation
 from ..relational.schema import Column, Schema
@@ -87,7 +90,7 @@ from ..sqlparser.ast_nodes import (
     DerivedTableRef,
     NamedTableRef,
     Query,
-    SelectItem,
+    RepairByKeyClause,
     SelectQuery,
     TableRef,
 )
@@ -138,7 +141,6 @@ __all__ = [
     "WSDQueryResult",
     "WSDExecutor",
     "canonical_relation_name",
-    "contains_subquery",
     "materialise_certain",
     "prune_and_normalize",
     "relation_is_certain",
@@ -163,17 +165,16 @@ class Condition:
     intersection means the condition is unsatisfiable and the carrying tuple
     is dropped.
 
-    Conditions are hot: join loops ``conjoin`` them per produced row and the
-    confidence engine hashes them as DNF clauses, so the class is slotted and
-    caches its hash and component-id tuple.  Treat instances as immutable.
+    Conditions are hot: join loops ``conjoin`` them per produced row, so the
+    class is slotted and caches its component-id tuple.  Treat instances as
+    immutable.
     """
 
-    __slots__ = ("atoms", "_hash", "_ids")
+    __slots__ = ("atoms", "_ids")
 
     def __init__(self,
                  atoms: tuple[tuple[int, frozenset[int]], ...] = ()) -> None:
         self.atoms = atoms
-        self._hash: int | None = None
         self._ids: tuple[int, ...] | None = None
 
     def is_true(self) -> bool:
@@ -209,18 +210,6 @@ class Condition:
         """True when the joint alternative *choice* satisfies the condition."""
         return all(choice[index] in indexes for index, indexes in self.atoms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Condition):
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash(self.atoms)
-            self._hash = cached
-        return cached
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Condition({self.atoms!r})"
 
@@ -238,9 +227,10 @@ class SymTuple:
 
 @dataclass(slots=True)
 class SymbolicRelation:
-    """A relation of condition-annotated ground tuples (one FROM source)."""
+    """Condition-annotated ground tuples: one FROM source, or the join of a
+    prefix of the FROM sources (rows laid out in FROM order, as the binder
+    indexes them)."""
 
-    schema: Schema
     tuples: list[SymTuple]
 
 
@@ -325,20 +315,10 @@ class WSDQueryResult:
 
 # -- helpers over expression / query trees -------------------------------------------------
 
-_SUBQUERY_NODES = (ScalarSubquery, InSubquery, ExistsSubquery,
-                   QuantifiedComparison)
-
-
-def contains_subquery(expression: Expression) -> bool:
-    if isinstance(expression, _SUBQUERY_NODES):
-        return True
-    return any(contains_subquery(child) for child in expression.children())
-
-
 def _expression_queries(expression: Expression) -> list[Query]:
     """The subquery ASTs nested anywhere inside *expression*."""
     queries: list[Query] = []
-    if isinstance(expression, _SUBQUERY_NODES):
+    if isinstance(expression, SUBQUERY_NODES):
         queries.append(expression.query)
     for child in expression.children():
         queries.extend(_expression_queries(child))
@@ -487,14 +467,15 @@ class WSDExecutor:
             return result
         return self._evaluate_component_joint(working, query, items)
 
-    def evaluate_for_install(self, name: str,
-                             query: Query) -> WorldSetDecomposition:
+    def evaluate_for_install(self, name: str, query: Query,
+                             schema: Schema) -> WorldSetDecomposition:
         """Evaluate ``CREATE TABLE name AS query``: the new session state.
 
         The returned decomposition holds every previous relation (transients
-        dropped), plus *name* bound to the query answer, re-normalised.
+        dropped), plus *name* bound to the query answer under the bound
+        *schema*, re-normalised.
         """
-        working, schema, entries = self._query_entries(self.base, query)
+        working, _, entries = self._query_entries(self.base, query)
         return self._install_entries(working, name, schema, entries,
                                      keep="session")
 
@@ -563,13 +544,10 @@ class WSDExecutor:
         else:
             raise AnalysisError(f"unknown FROM item {ref!r}")
         alias = ref.effective_alias()
-        repair, choice = ref.repair, ref.choice
-        if repair is not None and choice is not None:
-            raise _decoration_refused(
-                "repair by key with choice of on one FROM item")
+        decoration = ref.decoration
         if query is None:
             name = canonical_relation_name(working.template, ref.name)
-            if repair is None and choice is None:
+            if decoration is None:
                 return working, (name, alias)
             if not relation_is_certain(working.template, name):
                 raise _decoration_refused(
@@ -577,7 +555,7 @@ class WSDExecutor:
             relation = materialise_certain(working.template, name)
         else:
             working, schema, entries = self._query_entries(working, query)
-            if repair is None and choice is None:
+            if decoration is None:
                 transient = self._new_transient_name()
                 return self._install_entries(working, transient, schema,
                                              entries, keep="extend"), \
@@ -589,12 +567,10 @@ class WSDExecutor:
             relation = Relation(schema.without_qualifiers(),
                                 [row for row, _ in entries], coerce=False)
         transient = self._new_transient_name()
-        if repair is not None:
-            sub = from_key_repair(relation, repair.attributes,
-                                  weight=repair.weight, target_name=transient)
-        else:
-            sub = from_choice_of(relation, choice.attributes,
-                                 weight=choice.weight, target_name=transient)
+        construct = from_key_repair \
+            if isinstance(decoration, RepairByKeyClause) else from_choice_of
+        sub = construct(relation, decoration.attributes,
+                        weight=decoration.weight, target_name=transient)
         if working.is_probabilistic():
             sub = _uniformise(sub)
         return _merge_decompositions(working, sub), (transient, alias)
@@ -657,40 +633,33 @@ class WSDExecutor:
                       where: Optional[Expression]) -> SymbolicRelation:
         """Join the FROM sources, pushing WHERE conjuncts down.
 
-        Mirrors the explicit planner's join selection: top-level AND
-        conjuncts that are ``left.col = right.col`` equalities become hash
-        join keys, conjuncts that only reference already-joined sources
-        filter before the next product, and whatever remains is applied on
-        the full join.  Conjunctive splitting is sound because a row
-        survives the conjunction only when every conjunct is True.
+        The explicit planner's algorithm (``Planner._plan_from_where``),
+        deciding from the binder's input indexes: a top-level AND conjunct
+        equating a column of the joined prefix with a column of the next
+        source becomes a hash-join key, and a conjunct whose references all
+        lie in the joined prefix filters before the next product.
+        Conjunctive splitting is sound because a row survives the
+        conjunction only when every conjunct is True.
         """
-        pending = _flatten_and(where) if where is not None else []
-        if not items:
-            # SELECT without FROM: one unconditional empty row.
-            joined = SymbolicRelation(Schema([]),
-                                      [SymTuple((), TRUE_CONDITION)])
-            for conjunct in pending:
-                joined = self._filter(joined, conjunct)
-            return joined
-        sources = [self._ground(working, name, alias) for name, alias in items]
-        later = [source.schema for source in sources[1:]]
-        joined, pending = self._apply_ready_filters(sources[0], pending, later)
-        for position, source in enumerate(sources[1:]):
-            later = [other.schema for other in sources[position + 2:]]
-            keys, pending = self._extract_equi_keys(
-                joined.schema, source.schema, pending, later)
+        pending = conjuncts(where) if where is not None else []
+        # SELECT without FROM joins one unconditional empty row.
+        sources = [self._ground(working, name) for name, _ in items] or \
+            [SymbolicRelation([SymTuple((), TRUE_CONDITION)])]
+        joined, pending = filter_ready(sources[0], pending, 0, self._filter)
+        for position, source in enumerate(sources[1:], start=1):
+            keys, pending = split_equi_keys(pending, position)
             if keys:
                 joined = self._hash_join(joined, source, keys)
             else:
                 joined = self._cross_join(joined, source)
-            joined, pending = self._apply_ready_filters(joined, pending, later)
+            joined, pending = filter_ready(joined, pending, position,
+                                           self._filter)
         for conjunct in pending:
             joined = self._filter(joined, conjunct)
         return joined
 
     def _cross_join(self, left: SymbolicRelation,
                     right: SymbolicRelation) -> SymbolicRelation:
-        schema = left.schema.concat(right.schema)
         tuples: list[SymTuple] = []
         for mine in left.tuples:
             for theirs in right.tuples:
@@ -698,24 +667,24 @@ class WSDExecutor:
                 if condition is None:
                     continue
                 tuples.append(SymTuple(mine.row + theirs.row, condition))
-        return SymbolicRelation(schema, tuples)
+        return SymbolicRelation(tuples)
 
     def _hash_join(self, left: SymbolicRelation, right: SymbolicRelation,
-                   keys: list[tuple[Expression, Expression]]
-                   ) -> SymbolicRelation:
-        """Equi-join on hashed key values; NULL keys never join (SQL)."""
+                   keys: list[tuple[int, int]]) -> SymbolicRelation:
+        """Equi-join on hashed key values; NULL keys never join (SQL).
+        *keys* pairs a joined-prefix row position with a position in the
+        right source's rows."""
         from ..relational.algebra import hash_key
 
-        schema = left.schema.concat(right.schema)
-        right_keys = self._batch_keys(right, [expr for _, expr in keys])
-        left_keys = self._batch_keys(left, [expr for expr, _ in keys])
         buckets: dict[tuple, list[SymTuple]] = {}
-        for sym, key in zip(right.tuples, right_keys):
+        for sym in right.tuples:
+            key = tuple(sym.row[position] for _, position in keys)
             if any(value is None for value in key):
                 continue
             buckets.setdefault(hash_key(key), []).append(sym)
         tuples: list[SymTuple] = []
-        for sym, key in zip(left.tuples, left_keys):
+        for sym in left.tuples:
+            key = tuple(sym.row[position] for position, _ in keys)
             if any(value is None for value in key):
                 continue
             for other in buckets.get(hash_key(key), ()):
@@ -723,92 +692,10 @@ class WSDExecutor:
                 if condition is None:
                     continue
                 tuples.append(SymTuple(sym.row + other.row, condition))
-        return SymbolicRelation(schema, tuples)
+        return SymbolicRelation(tuples)
 
-    def _batch_keys(self, source: SymbolicRelation,
-                    exprs: list[Expression]) -> list[tuple]:
-        """One key tuple per row of *source*, batch-evaluated when possible."""
-        if source.tuples:
-            batch = compile_projection(exprs, source.schema)
-            if batch is not None:
-                try:
-                    rows = batch(source.tuples)
-                except ExpressionError:
-                    pass
-                else:
-                    self.stats.columnar_batches += 1
-                    return rows
-            self.stats.rowwise_fallbacks += 1
-        context = EvalContext(schema=source.schema, row=None)
-        rows = []
-        for sym in source.tuples:
-            context.row = sym.row
-            rows.append(tuple(expr.evaluate(context) for expr in exprs))
-        return rows
-
-    def _resolves_only_in(self, ref, schema: Schema,
-                          others: Sequence[Schema]) -> bool:
-        """True when *ref* binds uniquely in *schema* and nowhere else.
-
-        The "nowhere else" half keeps pushdown from changing binding
-        semantics: a reference that would be ambiguous (or bind elsewhere)
-        on the full join must wait for the full join.
-        """
-        if len(schema.find(ref.name, ref.qualifier)) != 1:
-            return False
-        return all(not other.find(ref.name, ref.qualifier)
-                   for other in others)
-
-    def _extract_equi_keys(self, left_schema: Schema, right_schema: Schema,
-                           conjuncts: list[Expression],
-                           later: Sequence[Schema]
-                           ) -> tuple[list[tuple[Expression, Expression]],
-                                      list[Expression]]:
-        from ..relational.expressions import BinaryOp, ColumnRef
-
-        keys: list[tuple[Expression, Expression]] = []
-        residual: list[Expression] = []
-        for conjunct in conjuncts:
-            if (isinstance(conjunct, BinaryOp) and conjunct.operator == "="
-                    and isinstance(conjunct.left, ColumnRef)
-                    and isinstance(conjunct.right, ColumnRef)):
-                first, second = conjunct.left, conjunct.right
-                others = list(later)
-                if self._resolves_only_in(first, left_schema,
-                                          [right_schema] + others) and \
-                        self._resolves_only_in(second, right_schema,
-                                               [left_schema] + others):
-                    keys.append((first, second))
-                    continue
-                if self._resolves_only_in(second, left_schema,
-                                          [right_schema] + others) and \
-                        self._resolves_only_in(first, right_schema,
-                                               [left_schema] + others):
-                    keys.append((second, first))
-                    continue
-            residual.append(conjunct)
-        return keys, residual
-
-    def _apply_ready_filters(self, source: SymbolicRelation,
-                             conjuncts: list[Expression],
-                             later: Sequence[Schema]
-                             ) -> tuple[SymbolicRelation, list[Expression]]:
-        """Apply the conjuncts that fully (and unambiguously) bind here."""
-        from ..relational.expressions import expression_columns
-
-        pending: list[Expression] = []
-        for conjunct in conjuncts:
-            references = expression_columns(conjunct)
-            if references and all(
-                    self._resolves_only_in(ref, source.schema, later)
-                    for ref in references):
-                source = self._filter(source, conjunct)
-            else:
-                pending.append(conjunct)
-        return source, pending
-
-    def _ground(self, working: WorldSetDecomposition, name: str,
-                alias: str) -> SymbolicRelation:
+    def _ground(self, working: WorldSetDecomposition,
+                name: str) -> SymbolicRelation:
         """Ground the template tuples of *name* into condition-annotated rows.
 
         This is where predicates become pushable: each template tuple is
@@ -819,8 +706,7 @@ class WSDExecutor:
         Groundings are memoised per relation, keyed on ``(version, name)``
         (:attr:`WorldSetDecomposition.versions`): a write to one relation
         renews only that relation's version, so every other relation's
-        grounding survives it; only the alias qualifier is re-applied per
-        reference.  Groundings of the base decomposition live in the cache
+        grounding survives it.  Groundings of the base decomposition live in the cache
         the backend shares across statements and threads, which only ever
         holds the current state: a miss there evicts every entry whose
         version the base no longer has (superseded by DML or by a new
@@ -860,8 +746,7 @@ class WSDExecutor:
                 self.stats.ground_cache_evictions += len(stale)
             else:
                 self._working_groundings[key] = cached
-        return SymbolicRelation(
-            working.template.schemas[name].with_qualifier(alias), cached)
+        return SymbolicRelation(cached)
 
     def _ground_tuples(self, working: WorldSetDecomposition,
                        template_tuples: Iterable[TemplateTuple],
@@ -913,7 +798,7 @@ class WSDExecutor:
         # does not short-circuit, so it can reach operands the interpreted
         # loop would have skipped).
         if source.tuples:
-            mask = compile_predicate(predicate, source.schema)
+            mask = compile_predicate(predicate)
             if mask is not None:
                 try:
                     decisions = mask(source.tuples)
@@ -921,55 +806,31 @@ class WSDExecutor:
                     pass
                 else:
                     self.stats.columnar_batches += 1
-                    kept = [sym for sym, keep in zip(source.tuples, decisions)
-                            if keep is True]
-                    return SymbolicRelation(source.schema, kept)
+                    return SymbolicRelation(
+                        [sym for sym, keep in zip(source.tuples, decisions)
+                         if keep])
             self.stats.rowwise_fallbacks += 1
         # One context, re-pointed per row: the symbolic tier only ever
         # filters subquery-free predicates, so nothing retains the context
         # beyond the evaluate call.
-        context = EvalContext(schema=source.schema, row=None)
+        context = EvalContext()
         kept = []
         for sym in source.tuples:
             context.row = sym.row
-            if predicate.evaluate(context) is True:
+            if _as_boolean(predicate.evaluate(context)):
                 kept.append(sym)
-        return SymbolicRelation(source.schema, kept)
+        return SymbolicRelation(kept)
 
     def _project(self, query: SelectQuery, source: SymbolicRelation
                  ) -> tuple[Schema, list[tuple[tuple, Condition]]]:
-        from ..core.planner import deduplicate_output_names, output_name
-        from ..relational.algebra import OutputColumn
-
-        items = query.select_items or [SelectItem(Star())]
-        outputs: list[OutputColumn] = []
-        for position, item in enumerate(items):
-            if isinstance(item.expression, Star):
-                qualifier = item.expression.qualifier
-                matched = [column for column in source.schema
-                           if qualifier is None
-                           or (column.qualifier or "").lower() == qualifier.lower()]
-                if not matched:
-                    from ..errors import PlanningError
-
-                    raise PlanningError(
-                        f"'{qualifier or '*'}.*' matches no columns")
-                from ..relational.expressions import ColumnRef
-
-                outputs.extend(OutputColumn(
-                    ColumnRef(column.name, column.qualifier), column.name)
-                    for column in matched)
-                continue
-            outputs.append(OutputColumn(item.expression,
-                                        output_name(item, position)))
-        outputs = deduplicate_output_names(outputs)
+        outputs = query.outputs
         schema = Schema([Column(output.name) for output in outputs])
         # Columnar first: evaluate every output expression over the whole
         # batch (one column pass each), then zip the rows back against the
         # per-tuple conditions.
         if source.tuples:
             batch = compile_projection(
-                [output.expression for output in outputs], source.schema)
+                [output.expression for output in outputs])
             if batch is not None:
                 try:
                     rows = batch(source.tuples)
@@ -983,7 +844,7 @@ class WSDExecutor:
         projected: list[tuple[tuple, Condition]] = []
         # Re-pointed context: projection expressions on the symbolic tier
         # are subquery-free (see _needs_component_joint), so reuse is safe.
-        context = EvalContext(schema=source.schema, row=None)
+        context = EvalContext()
         for sym in source.tuples:
             context.row = sym.row
             row = tuple(output.expression.evaluate(context)
@@ -1077,9 +938,10 @@ class WSDExecutor:
         """Try the decomposed aggregate engine; None re-routes the query to
         the guarded component-joint enumeration.
 
-        Shape mismatches (ORDER BY / LIMIT, non-scalar subqueries, ...) are
-        silent re-routes; budget overruns on genuinely correlated shapes are
-        counted in :attr:`WsdExecutionStats.aggregate_fallbacks`.
+        Shape mismatches (ORDER BY / LIMIT, non-scalar or correlated
+        subqueries, ...) are silent re-routes; budget overruns on genuinely
+        correlated shapes are counted in
+        :attr:`WsdExecutionStats.aggregate_fallbacks`.
         """
         plan = self.aggregate_plan(query)
         if plan is None:
@@ -1090,11 +952,6 @@ class WSDExecutor:
             return self._aggregate_select(working, query, items, plan)
         except AggregateBudgetExceededError:
             self.stats.aggregate_fallbacks += 1
-            return None
-        except UnknownColumnError:
-            # Correlated references the symbolic grounder cannot resolve in
-            # isolation; the component-joint path evaluates (or rejects)
-            # them with reference semantics.
             return None
 
     def _aggregate_select(self, working: WorldSetDecomposition,
@@ -1224,7 +1081,7 @@ class WSDExecutor:
                                           subquery.query.where)
             offset = offsets[index]
             for sym in grounded.tuples:
-                context = EvalContext(schema=grounded.schema, row=sym.row)
+                context = EvalContext(row=sym.row)
                 delta = list(identity)
                 for position, (call, spec) in enumerate(
                         zip(subquery.calls, subquery.specs)):
@@ -1253,8 +1110,8 @@ class WSDExecutor:
                              in enumerate(subquery.specs)]
                 sub_values.append(
                     subquery.slotted_item.evaluate(finalized, slots=slots))
-            if all(predicate.evaluate((), (), sub_values,
-                                      slots=slots) is True
+            if all(_as_boolean(predicate.evaluate((), (), sub_values,
+                                                  slots=slots))
                    for predicate in plan.world_predicates):
                 mass += weight
         return WSDQueryResult(kind="rows",
@@ -1306,7 +1163,7 @@ class WSDExecutor:
         """
         self._require_plain_worldlocal(
             query, "a compound (UNION/INTERSECT/EXCEPT) query")
-        if not _compound_limits_content(query):
+        if not _compound_needs_per_world(query, ordered=False):
             try:
                 working, schema, entries = evaluate_compound_entries(
                     self, working, query, budget=self.budgets.setop_clauses)
@@ -1350,11 +1207,10 @@ class WSDExecutor:
                                        "a nested query")
         try:
             groups = evaluate_group_worlds(self, working, query, items)
-        except (GroupingUnsupportedError, AggregateBudgetExceededError,
-                UnknownColumnError):
+        except (GroupingUnsupportedError, AggregateBudgetExceededError):
             # Shapes the native compilers do not cover (ORDER BY / LIMIT
-            # mains, non-aggregate subqueries, correlated references) escape
-            # to the guarded component-joint grouping below.
+            # mains, non-aggregate subqueries) escape to the guarded
+            # component-joint grouping below.
             self.stats.group_fallbacks += 1
         else:
             self.stats.grouping += 1
@@ -1599,8 +1455,6 @@ class WSDExecutor:
                                expression: Expression
                                ) -> Optional[list[tuple[set[Field],
                                                         Callable[[dict[Field, Any]], bool]]]]:
-        from ..relational.expressions import BinaryOp, UnaryOp
-
         if isinstance(expression, BinaryOp) and \
                 expression.operator.lower() == "and":
             left = self._compile_event_factors(working, expression.left)
@@ -1684,8 +1538,6 @@ class WSDExecutor:
                               expression: Expression
                               ) -> Optional[tuple[set[Field],
                                                   Callable[[dict[Field, Any]], bool]]]:
-        from ..relational.expressions import BinaryOp, UnaryOp
-
         if isinstance(expression, UnaryOp) and expression.operator.lower() == "not":
             inner = self._compile_pruned_event(working, expression.operand)
             if inner is None:
@@ -1740,7 +1592,7 @@ class WSDExecutor:
         instantiates to a matching row".
         """
         query = node.query
-        if not isinstance(query, SelectQuery):
+        if not isinstance(query, SelectQuery) or query.correlated:
             return None
         if (query.quantifier is not None or query.conf
                 or query.assert_condition is not None
@@ -1751,8 +1603,8 @@ class WSDExecutor:
         if len(query.from_clause) != 1:
             return None
         ref = query.from_clause[0]
-        if not isinstance(ref, NamedTableRef) or ref.repair is not None \
-                or ref.choice is not None or ref.name.lower() in self.views:
+        if not isinstance(ref, NamedTableRef) or ref.decoration is not None \
+                or ref.name.lower() in self.views:
             return None
         if query.where is not None and (
                 contains_subquery(query.where)
@@ -1768,15 +1620,11 @@ class WSDExecutor:
             name = canonical_relation_name(working.template, ref.name)
         except UnknownRelationError:
             return None
-        alias = ref.effective_alias()
-        schema = working.template.schemas[name].with_qualifier(alias)
         where = query.where
 
         def row_matches(row: tuple) -> bool:
-            if where is None:
-                return True
-            context = EvalContext(schema=schema, row=row)
-            return where.evaluate(context) is True
+            return where is None or \
+                bool(_as_boolean(where.evaluate(EvalContext(row=row))))
 
         candidates = []
         for template_tuple, sym in self._ground_by_tuple(working, name):
@@ -1806,19 +1654,19 @@ class WSDExecutor:
                   for name in names
                   for t in working.template.relation_tuples(name)
                   for f in t.fields()}
+        from ..core.executor import Executor
+
+        executor = Executor(self.views)  # plans each subquery once
 
         def predicate(assignment: dict[Field, Any]) -> bool:
-            from ..core.executor import Executor
-
             catalog = Catalog()
             for name in names:
                 catalog.create(name, _instantiate_relation(
                     working.template, name, assignment))
-            executor = Executor(self.views)
             env = executor._make_env(World(catalog))
-            context = EvalContext(schema=Schema([]), row=(),
+            context = EvalContext(row=(),
                                   subquery_evaluator=env.subquery_evaluator)
-            return expression.evaluate(context) is True
+            return bool(_as_boolean(expression.evaluate(context)))
 
         return fields, predicate
 
@@ -1998,28 +1846,19 @@ class _Group:
 # -- module helpers -----------------------------------------------------------------------------
 
 
-def _compound_needs_per_world(query: Query) -> bool:
-    """True when a compound carries ORDER BY / LIMIT / OFFSET at any
-    compound nesting level — per-world semantics the entry algebra cannot
-    express (LIMIT changes content, ORDER BY orders each world's answer)."""
+def _compound_needs_per_world(query: Query, ordered: bool = True) -> bool:
+    """True when a compound carries LIMIT / OFFSET — or, when *ordered*,
+    ORDER BY — at any compound nesting level: per-world semantics the entry
+    algebra cannot express (LIMIT changes content, ORDER BY orders each
+    world's answer; pure ORDER BY leaves the answer *set* intact, which is
+    all the condition-annotated entries represent)."""
     if not isinstance(query, CompoundQuery):
         return False
-    if query.order_by or query.limit is not None or query.offset:
+    if (ordered and query.order_by) or query.limit is not None \
+            or query.offset:
         return True
-    return _compound_needs_per_world(query.left) \
-        or _compound_needs_per_world(query.right)
-
-
-def _compound_limits_content(query: Query) -> bool:
-    """True when a compound carries content-changing LIMIT / OFFSET at any
-    compound nesting level (pure ORDER BY leaves the answer *set* intact,
-    which is all the condition-annotated entries represent)."""
-    if not isinstance(query, CompoundQuery):
-        return False
-    if query.limit is not None or query.offset:
-        return True
-    return _compound_limits_content(query.left) \
-        or _compound_limits_content(query.right)
+    return _compound_needs_per_world(query.left, ordered) \
+        or _compound_needs_per_world(query.right, ordered)
 
 
 def _decoration_refused(shape: str) -> UnsupportedFeatureError:
@@ -2028,15 +1867,6 @@ def _decoration_refused(shape: str) -> UnsupportedFeatureError:
     return UnsupportedFeatureError(
         f"{shape} multiplies worlds data-dependently, which the wsd "
         "backend does not support")
-
-
-def _flatten_and(expression: Expression) -> list[Expression]:
-    """Split a conjunction into its top-level conjuncts."""
-    from ..relational.expressions import BinaryOp
-
-    if isinstance(expression, BinaryOp) and expression.operator.lower() == "and":
-        return _flatten_and(expression.left) + _flatten_and(expression.right)
-    return [expression]
 
 
 def canonical_relation_name(template: Template, name: str) -> str:
@@ -2212,29 +2042,17 @@ def _uniformise(decomposition: WorldSetDecomposition) -> WorldSetDecomposition:
 def _strip_world_clauses(query: SelectQuery,
                          items: Optional[list[tuple[str, str]]] = None,
                          keep_collection: bool = False) -> SelectQuery:
-    """The plain per-world core of *query* (world-level clauses removed).
+    """The plain per-world core of *query* (world-level clauses removed,
+    bindings kept).
 
     When *items* is given the FROM clause is rewritten to the resolved
     relation names, so repairs / choices / views already materialised into
     the working decomposition are referenced directly.
     """
-    from_clause: list[TableRef]
-    if items is not None:
-        from_clause = [NamedTableRef(name, alias) for name, alias in items]
-    else:
-        from_clause = list(query.from_clause)
-    return SelectQuery(
-        select_items=list(query.select_items),
-        from_clause=from_clause,
-        where=query.where,
-        group_by=list(query.group_by),
-        having=query.having,
-        order_by=list(query.order_by),
-        limit=query.limit,
-        offset=query.offset,
-        distinct=query.distinct,
+    from_clause = list(query.from_clause) if items is None \
+        else [NamedTableRef(name, alias) for name, alias in items]
+    return replace(
+        query, from_clause=from_clause,
         quantifier=query.quantifier if keep_collection else None,
         conf=query.conf if keep_collection else False,
-        assert_condition=None,
-        group_worlds_by=None,
-    )
+        assert_condition=None, group_worlds_by=None)

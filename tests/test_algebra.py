@@ -40,6 +40,12 @@ def env(figure1_catalog):
     return ExecutionEnv(catalog=figure1_catalog)
 
 
+def col(name, index, qualifier=None):
+    """A column reference bound (as the binder binds it) to position
+    *index* of the operator's input row; R is (A, B, C, D), S is (C, E)."""
+    return ColumnRef(name, qualifier, index=index)
+
+
 class TestScanAndFilter:
     def test_scan_qualifies_columns_with_alias(self, env):
         relation = ScanOp("R", alias="r1").execute(env)
@@ -48,12 +54,12 @@ class TestScanAndFilter:
 
     def test_filter_keeps_matching_rows(self, env):
         plan = FilterOp(ScanOp("R"),
-                        BinaryOp("=", ColumnRef("A"), Literal("a3")))
+                        BinaryOp("=", col("A", 0), Literal("a3")))
         assert plan.execute(env).rows == [("a3", 20, "c5", 6)]
 
     def test_filter_drops_unknown(self, env):
         plan = FilterOp(ScanOp("S"),
-                        BinaryOp("=", ColumnRef("C"), Literal(None)))
+                        BinaryOp("=", col("C", 0), Literal(None)))
         assert plan.execute(env).rows == []
 
     def test_relation_source(self, env):
@@ -65,8 +71,8 @@ class TestScanAndFilter:
 class TestProjection:
     def test_project_computed_column(self, env):
         plan = ProjectOp(ScanOp("R"), [
-            OutputColumn(ColumnRef("A"), "A"),
-            OutputColumn(BinaryOp("*", ColumnRef("B"), Literal(2)), "B2"),
+            OutputColumn(col("A", 0), "A"),
+            OutputColumn(BinaryOp("*", col("B", 1), Literal(2)), "B2"),
         ])
         result = plan.execute(env)
         assert result.schema.names() == ["A", "B2"]
@@ -74,7 +80,7 @@ class TestProjection:
 
     def test_distinct(self, env):
         plan = DistinctOp(ProjectOp(ScanOp("S"),
-                                    [OutputColumn(ColumnRef("E"), "E")]))
+                                    [OutputColumn(col("E", 1), "E")]))
         assert sorted(plan.execute(env).rows) == [("e1",), ("e2",)]
 
 
@@ -83,24 +89,22 @@ class TestJoins:
         assert len(CrossJoinOp(ScanOp("R"), ScanOp("S")).execute(env)) == 15
 
     def test_theta_join(self, env):
-        predicate = BinaryOp("=", ColumnRef("C", "R"), ColumnRef("C", "S"))
+        predicate = BinaryOp("=", col("C", 2, "R"), col("C", 4, "S"))
         result = ThetaJoinOp(ScanOp("R"), ScanOp("S"), predicate).execute(env)
         assert len(result) == 3  # c2-e1, c4-e1, c4-e2
 
     def test_hash_join_matches_theta_join(self, env):
         theta = ThetaJoinOp(ScanOp("R"), ScanOp("S"),
-                            BinaryOp("=", ColumnRef("C", "R"),
-                                     ColumnRef("C", "S"))).execute(env)
-        hashed = HashJoinOp(ScanOp("R"), ScanOp("S"),
-                            [ColumnRef("C", "R")],
-                            [ColumnRef("C", "S")]).execute(env)
+                            BinaryOp("=", col("C", 2, "R"),
+                                     col("C", 4, "S"))).execute(env)
+        hashed = HashJoinOp(ScanOp("R"), ScanOp("S"), [2], [0]).execute(env)
         assert hashed.bag_equal(theta)
 
     def test_hash_join_residual_predicate(self, env):
-        residual = BinaryOp("=", ColumnRef("E", "S"), Literal("e2"))
-        result = HashJoinOp(ScanOp("R"), ScanOp("S"),
-                            [ColumnRef("C", "R")], [ColumnRef("C", "S")],
-                            residual=residual).execute(env)
+        # The planner filters the join with the remaining conjuncts.
+        residual = BinaryOp("=", col("E", 5, "S"), Literal("e2"))
+        result = FilterOp(HashJoinOp(ScanOp("R"), ScanOp("S"), [2], [0]),
+                          residual).execute(env)
         assert len(result) == 1
         assert result.rows[0][-1] == "e2"
 
@@ -110,9 +114,7 @@ class TestJoins:
             "Rt": Relation(["K"], [(1.0,)], name="Rt"),
         })
         env = ExecutionEnv(catalog=catalog)
-        result = HashJoinOp(ScanOp("L"), ScanOp("Rt"),
-                            [ColumnRef("K", "L")],
-                            [ColumnRef("K", "Rt")]).execute(env)
+        result = HashJoinOp(ScanOp("L"), ScanOp("Rt"), [0], [0]).execute(env)
         assert len(result) == 1
 
 
@@ -120,14 +122,14 @@ class TestAggregation:
     def test_global_sum(self, env):
         plan = AggregateOp(ScanOp("R"), group_keys=[],
                            outputs=[OutputColumn(
-                               AggregateCall("sum", ColumnRef("B")), "total")])
+                               AggregateCall("sum", col("B", 1)), "total")])
         assert plan.execute(env).rows == [(79,)]
 
     def test_group_by_with_count(self, env):
         plan = AggregateOp(ScanOp("R"),
-                           group_keys=[ColumnRef("A")],
+                           group_keys=[col("A", 0)],
                            outputs=[
-                               OutputColumn(ColumnRef("A"), "A"),
+                               OutputColumn(col("A", 0), "A"),
                                OutputColumn(AggregateCall("count", None), "n"),
                            ])
         result = {row[0]: row[1] for row in plan.execute(env).rows}
@@ -135,14 +137,14 @@ class TestAggregation:
 
     def test_having_filters_groups(self, env):
         plan = AggregateOp(ScanOp("R"),
-                           group_keys=[ColumnRef("A")],
-                           outputs=[OutputColumn(ColumnRef("A"), "A")],
+                           group_keys=[col("A", 0)],
+                           outputs=[OutputColumn(col("A", 0), "A")],
                            having=BinaryOp(">", AggregateCall("count", Star()),
                                            Literal(1)))
         assert sorted(plan.execute(env).rows) == [("a1",), ("a2",)]
 
     def test_aggregate_inside_arithmetic(self, env):
-        expression = BinaryOp("/", AggregateCall("sum", ColumnRef("D")),
+        expression = BinaryOp("/", AggregateCall("sum", col("D", 3)),
                               Literal(23))
         plan = AggregateOp(ScanOp("R"), group_keys=[],
                            outputs=[OutputColumn(expression, "share")])
@@ -158,8 +160,8 @@ class TestAggregation:
 
 class TestSortLimitSetOps:
     def test_sort_descending(self, env):
-        plan = SortOp(ProjectOp(ScanOp("R"), [OutputColumn(ColumnRef("B"), "B")]),
-                      [SortKey(ColumnRef("B"), descending=True)])
+        plan = SortOp(ProjectOp(ScanOp("R"), [OutputColumn(col("B", 1), "B")]),
+                      [SortKey(col("B", 0), descending=True)])
         values = [row[0] for row in plan.execute(env).rows]
         assert values == sorted(values, reverse=True)
 
@@ -168,8 +170,8 @@ class TestSortLimitSetOps:
         assert len(plan.execute(env)) == 2
 
     def test_union_intersect_except(self, env):
-        c_from_r = ProjectOp(ScanOp("R"), [OutputColumn(ColumnRef("C"), "C")])
-        c_from_s = ProjectOp(ScanOp("S"), [OutputColumn(ColumnRef("C"), "C")])
+        c_from_r = ProjectOp(ScanOp("R"), [OutputColumn(col("C", 2), "C")])
+        c_from_s = ProjectOp(ScanOp("S"), [OutputColumn(col("C", 0), "C")])
         union = UnionOp(c_from_r, c_from_s).execute(env)
         assert len(union) == 5  # c1..c5 distinct
         intersect = IntersectOp(c_from_r, c_from_s).execute(env)
@@ -183,7 +185,7 @@ class TestSortLimitSetOps:
 
     def test_explain_renders_tree(self, env):
         plan = LimitOp(FilterOp(ScanOp("R"),
-                                BinaryOp("=", ColumnRef("A"), Literal("a1"))),
+                                BinaryOp("=", col("A", 0), Literal("a1"))),
                        limit=1)
         text = plan.explain()
         assert "Limit" in text and "Filter" in text and "Scan(R)" in text

@@ -101,14 +101,11 @@ def components_and_dnf(draw):
 @st.composite
 def components_and_condition_dnf(draw, max_clauses=6, max_atoms=3):
     """Components plus a DNF shaped like the executor's conditions: each
-    clause restricts distinct components (in index order), and every atom
-    is a proper subset of a component with at least two alternatives — no
-    stored atom covers its whole component."""
+    clause restricts distinct components (in index order).  Atoms may also
+    cover their whole component (the executor never stores one, but the
+    ladder is exported and normalises its input)."""
     components = draw(components_strategy())
-    eligible = [index for index, component in enumerate(components)
-                if len(component) >= 2]
-    if not eligible:
-        return components, []
+    eligible = list(range(len(components)))
     clauses = []
     for _ in range(draw(st.integers(min_value=0, max_value=max_clauses))):
         indexes = draw(st.lists(st.sampled_from(eligible), min_size=1,
@@ -118,7 +115,7 @@ def components_and_condition_dnf(draw, max_clauses=6, max_atoms=3):
             (index, frozenset(draw(st.sets(
                 st.integers(min_value=0,
                             max_value=len(components[index]) - 1),
-                min_size=1, max_size=len(components[index]) - 1))))
+                min_size=1, max_size=len(components[index])))))
             for index in sorted(indexes)))
     return components, clauses
 
@@ -195,6 +192,15 @@ class TestLadderMatchesBruteForce:
         assert mass == pytest.approx(expected_mass, abs=1e-9)
         assert approximation is None
         assert ladder.covers(clauses) is expected_covers
+
+    def test_a_full_atom_is_certain(self):
+        components = [Component([Field("R", 0, "A")],
+                                [Alternative((0,), 0.25),
+                                 Alternative((1,), 0.75)])]
+        full = [((0, frozenset({0, 1})),)]
+        ladder = ConfidenceLadder(components)
+        assert ladder.probability(full) == (1.0, None)
+        assert ladder.covers(full) is True
 
 
 # -- query-level parity on correlated conf --------------------------------------------------

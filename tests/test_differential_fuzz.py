@@ -100,11 +100,16 @@ def _setup_statement(draw) -> str:
 
 @st.composite
 def predicate(draw, alias: str = "") -> str:
+    """A comparison, or an AND / OR of two — or, now and then, a bare
+    integer column, which is not a boolean: both backends must refuse it
+    alike (a predicate must be boolean or NULL)."""
     prefix = f"{alias}." if alias else ""
     column = draw(st.sampled_from(["K", "V"]))
-    operator = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+    operator = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">=",
+                                     "bare"]))
     value = draw(st.sampled_from(KEYS if column == "K" else VALUES))
-    clause = f"{prefix}{column} {operator} {value}"
+    clause = f"{prefix}{column}" if operator == "bare" \
+        else f"{prefix}{column} {operator} {value}"
     if draw(st.booleans()):
         other_column = draw(st.sampled_from(["K", "V"]))
         other_operator = draw(st.sampled_from(["<", ">=", "="]))

@@ -24,11 +24,19 @@ from repro.relational.expressions import (
 from repro.relational.expressions import AggregateCall
 from repro.relational.schema import Column, Schema
 
+from binding import bind_expression
+
 
 def ctx(**columns):
     """Build an EvalContext from keyword column/value pairs."""
-    schema = Schema(list(columns))
-    return EvalContext(schema=schema, row=tuple(columns.values()))
+    return EvalContext(row=tuple(columns.values()))
+
+
+def value(expression, **columns):
+    """Bind *expression* against the keyword columns, as the binder does
+    before execution, then evaluate it on their values."""
+    bind_expression(expression, Schema(list(columns)))
+    return expression.evaluate(ctx(**columns))
 
 
 class TestLiteralsAndColumns:
@@ -37,22 +45,21 @@ class TestLiteralsAndColumns:
         assert Literal(None).evaluate(ctx()) is None
 
     def test_column_lookup(self):
-        assert ColumnRef("A").evaluate(ctx(A=7, B=8)) == 7
+        assert value(ColumnRef("A"), A=7, B=8) == 7
 
     def test_qualified_column_lookup(self):
         schema = Schema([Column("A", qualifier="r"), Column("A", qualifier="s")])
-        context = EvalContext(schema=schema, row=(1, 2))
-        assert ColumnRef("A", "s").evaluate(context) == 2
+        reference = bind_expression(ColumnRef("A", "s"), schema)
+        assert reference.evaluate(EvalContext(row=(1, 2))) == 2
 
     def test_unknown_column(self):
         with pytest.raises(UnknownColumnError):
-            ColumnRef("Z").evaluate(ctx(A=1))
+            value(ColumnRef("Z"), A=1)
 
     def test_outer_scope_resolution(self):
-        outer = ctx(A=10)
-        inner = outer.child(Schema(["B"]), (20,))
-        assert ColumnRef("A").evaluate(inner) == 10
-        assert ColumnRef("B").evaluate(inner) == 20
+        inner = EvalContext(row=(20,), outer=ctx(A=10))
+        assert ColumnRef("A", depth=1, index=0).evaluate(inner) == 10
+        assert ColumnRef("B", depth=0, index=0).evaluate(inner) == 20
 
     def test_star_cannot_evaluate(self):
         with pytest.raises(ExpressionError):
@@ -107,16 +114,21 @@ class TestComparisonsAndLogic:
         assert BinaryOp("or", false, null).evaluate(ctx()) is None
         assert UnaryOp("not", null).evaluate(ctx()) is None
 
-    def test_numbers_act_as_booleans(self):
-        assert BinaryOp("and", Literal(1), Literal(True)).evaluate(ctx()) is True
-        assert BinaryOp("or", Literal(0), Literal(False)).evaluate(ctx()) is False
+    def test_non_boolean_operands_raise(self):
+        # A predicate must be boolean or NULL (PostgreSQL's rule).
+        with pytest.raises(ExpressionError):
+            BinaryOp("and", Literal(1), Literal(True)).evaluate(ctx())
+        with pytest.raises(ExpressionError):
+            BinaryOp("or", Literal(0), Literal(False)).evaluate(ctx())
+        with pytest.raises(ExpressionError):
+            UnaryOp("not", Literal("yes")).evaluate(ctx())
 
 
 class TestPredicates:
     def test_in_list(self):
         expr = InList(ColumnRef("A"), [Literal(1), Literal(2)])
-        assert expr.evaluate(ctx(A=2)) is True
-        assert expr.evaluate(ctx(A=5)) is False
+        assert value(expr, A=2) is True
+        assert value(expr, A=5) is False
 
     def test_in_list_with_null_member_is_unknown(self):
         expr = InList(Literal(5), [Literal(1), Literal(None)])
@@ -132,9 +144,9 @@ class TestPredicates:
 
     def test_between(self):
         expr = Between(ColumnRef("A"), Literal(1), Literal(10))
-        assert expr.evaluate(ctx(A=5)) is True
-        assert expr.evaluate(ctx(A=11)) is False
-        assert expr.evaluate(ctx(A=None)) is None
+        assert value(expr, A=5) is True
+        assert value(expr, A=11) is False
+        assert value(expr, A=None) is None
 
     def test_like(self):
         assert Like(Literal("whale"), Literal("wha%")).evaluate(ctx()) is True
@@ -145,14 +157,14 @@ class TestPredicates:
     def test_case_with_operand(self):
         expr = CaseExpression(ColumnRef("G"), [(Literal("cow"), Literal(1))],
                               Literal(0))
-        assert expr.evaluate(ctx(G="cow")) == 1
-        assert expr.evaluate(ctx(G="bull")) == 0
+        assert value(expr, G="cow") == 1
+        assert value(expr, G="bull") == 0
 
     def test_searched_case_without_else_is_null(self):
         expr = CaseExpression(None, [(BinaryOp(">", ColumnRef("A"), Literal(0)),
                                       Literal("pos"))])
-        assert expr.evaluate(ctx(A=5)) == "pos"
-        assert expr.evaluate(ctx(A=-5)) is None
+        assert value(expr, A=5) == "pos"
+        assert value(expr, A=-5) is None
 
 
 class TestFunctions:

@@ -234,7 +234,9 @@ class TestRelationScopedInvalidation:
         db.execute("select possible K from Obs;")
         base_entries = dict(db.backend._ground_cache)
         executor = db.backend._executor()
-        executor.evaluate_query(parse_statement(query))
+        statement = parse_statement(query)
+        db.backend._bind(statement)
+        executor.evaluate_query(statement)
         working = executor._working_groundings
         assert working, "the statement should ground a working copy"
         assert not set(working) & set(base_entries)

@@ -22,6 +22,7 @@ from repro.relational.expressions import (
     UnaryOp,
 )
 from repro.sqlparser import (
+    ChoiceOfClause,
     CompoundQuery,
     CreateTable,
     CreateTableAs,
@@ -33,6 +34,7 @@ from repro.sqlparser import (
     ExplainStatement,
     Insert,
     NamedTableRef,
+    RepairByKeyClause,
     SelectQuery,
     Update,
     parse_expression,
@@ -109,16 +111,18 @@ class TestISqlExtensions:
 
     def test_repair_by_key_with_weight(self):
         query = parse_query("select A, B, C from R repair by key A weight D")
-        repair = query.from_clause[0].repair
+        repair = query.from_clause[0].decoration
+        assert isinstance(repair, RepairByKeyClause)
         assert repair.attributes == ["A"] and repair.weight == "D"
 
     def test_repair_by_composite_key(self):
         query = parse_query("select SSN', TEL' from S repair by key SSN, TEL")
-        assert query.from_clause[0].repair.attributes == ["SSN", "TEL"]
+        assert query.from_clause[0].decoration.attributes == ["SSN", "TEL"]
 
     def test_choice_of_with_weight(self):
         query = parse_query("select * from R choice of A weight D")
-        choice = query.from_clause[0].choice
+        choice = query.from_clause[0].decoration
+        assert isinstance(choice, ChoiceOfClause)
         assert choice.attributes == ["A"] and choice.weight == "D"
 
     def test_assert_clause(self):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core.binder import Binder
 from repro.core.executor import Executor
 from repro.core.planner import Planner, ResolvedFrom
 from repro.errors import PlanningError, UnknownRelationError
@@ -21,9 +24,28 @@ from repro.sqlparser import parse_query
 from repro.worldset import WorldSet
 
 
+def bound(query, catalog, source=None):
+    """*query* bound against *catalog* (every name read as *source*, when
+    given), as the backends bind before planning."""
+    Binder(lambda name: catalog.get(source or name).schema, {}) \
+        .bind_query(query)
+    return query
+
+
+class BindingPlanner:
+    """A planner that binds each query against a catalog first."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+
+    def plan_select(self, query, resolved_from=None):
+        return Planner().plan_select(bound(query, self.catalog),
+                                     resolved_from)
+
+
 @pytest.fixture
 def planner(figure1_catalog):
-    return Planner(figure1_catalog)
+    return BindingPlanner(figure1_catalog)
 
 
 def unwrap(plan, *types):
@@ -50,11 +72,10 @@ class TestPlannerShapes:
         join = unwrap(plan, HashJoinOp)
         assert isinstance(join, HashJoinOp)
 
-    def test_equi_join_with_extra_conjunct_keeps_residual(self, planner):
+    def test_equi_join_with_extra_conjunct_filters_the_join(self, planner):
         plan = planner.plan_select(parse_query(
             "select r.A from R r, S s where r.C = s.C and s.E = 'e1'"))
-        join = unwrap(plan, HashJoinOp)
-        assert join.residual is not None
+        assert isinstance(unwrap(plan, FilterOp).child, HashJoinOp)
 
     def test_non_equi_predicate_falls_back_to_filter(self, planner):
         plan = planner.plan_select(parse_query(
@@ -105,9 +126,9 @@ class TestPlannerShapes:
             planner.plan_select(parse_query("select * from R repair by key A"))
 
     def test_resolved_from_overrides_table_lookup(self, figure1_catalog):
-        planner = Planner(figure1_catalog)
-        plan = planner.plan_select(parse_query("select I.C from I"),
-                                   resolved_from=[ResolvedFrom("S", "I")])
+        query = bound(parse_query("select I.C from I"), figure1_catalog, "S")
+        plan = Planner().plan_select(query,
+                                     resolved_from=[ResolvedFrom("S", "I")])
         scan = unwrap(plan, ScanOp)
         assert scan.table_name == "S" and scan.alias == "I"
 
@@ -117,7 +138,8 @@ class TestExecutorInternals:
         executor = Executor()
         world_set = WorldSet.single(figure1_catalog)
         relation = executor.evaluate_plain_in_world(
-            parse_query("select E from S where C = 'c4'"),
+            bound(parse_query("select E from S where C = 'c4'"),
+                  figure1_catalog),
             world_set.worlds[0])
         assert sorted(relation.rows) == [("e1",), ("e2",)]
 
@@ -125,8 +147,23 @@ class TestExecutorInternals:
         executor = Executor()
         world_set = WorldSet.single(figure1_catalog)
         with pytest.raises(UnknownRelationError):
-            executor.evaluate_query(parse_query("select * from Missing"),
-                                    world_set)
+            executor.evaluate_query(
+                bound(parse_query("select * from Missing"), figure1_catalog),
+                world_set)
+
+    def test_one_plan_per_query_block_not_per_world_or_row(self, db_figure2):
+        """Names resolve once, before execution, so the explicit backend
+        plans the main block and its correlated subquery once each, however
+        many worlds (4) and outer rows the statement visits."""
+        assert db_figure2.world_count() == 4
+        with mock.patch.object(Planner, "plan_select",
+                               autospec=True,
+                               side_effect=Planner.plan_select) as planned:
+            result = db_figure2.execute(
+                "select possible A from I where exists "
+                "(select * from S where S.C = I.C);")
+        assert planned.call_count == 2
+        assert sorted(result.rows()) == [("a1",), ("a2",)]
 
     def test_transient_names_are_unique(self):
         executor = Executor()

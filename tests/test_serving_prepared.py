@@ -103,6 +103,24 @@ class TestPreparedExecution:
             assert prepared.execute((threshold,)).scalar() == \
                 pytest.approx(expected.scalar(), abs=1e-9)
 
+    @pytest.mark.parametrize("backend", ["explicit", "wsd"])
+    def test_recreated_view_rebinds_the_prepared_statement(self, backend):
+        # `*` over a view is expanded when the statement binds; a dropped and
+        # re-created view is a new definition, so the statement binds again.
+        # The definitions are parsed afresh each time (no statement cache
+        # keeps them alive), so a new one may reuse a freed one's address.
+        db = build_session(backend)
+        prepared = db.prepare("select possible * from v;")
+        for _ in range(20):
+            for sql, expected in (
+                    ("create view v as select A from R where B < 12;",
+                     [("a1",)]),
+                    ("create view v as select B, A from R where B < 12;",
+                     [(10, "a1")])):
+                db.execute_statement(parse_statement(sql))
+                assert prepared.execute(()).rows() == expected
+                db.execute_statement(parse_statement("drop view v;"))
+
     def test_wrong_arity_raises(self):
         db = build_session()
         prepared = db.prepare("select conf from I where B > ?;")

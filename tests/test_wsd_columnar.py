@@ -18,7 +18,12 @@ from unittest import mock
 import pytest
 
 from repro import MayBMS
-from repro.errors import ExpressionError
+from repro.errors import (
+    AmbiguousColumnError,
+    AnalysisError,
+    ExpressionError,
+    UnknownColumnError,
+)
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -35,8 +40,10 @@ from repro.relational.expressions import (
     bound_parameters,
 )
 from repro.relational.schema import Column, Schema
-from repro.wsd.columnar import compile_predicate, compile_projection
+from repro.wsd import columnar
 from repro.wsd.execute import TRUE_CONDITION, SymTuple
+
+from binding import bind_expression
 
 SCHEMA = Schema([Column("a"), Column("b"), Column("s")])
 
@@ -51,6 +58,18 @@ ROWS = [
 
 def batch(rows=ROWS):
     return [SymTuple(row, TRUE_CONDITION) for row in rows]
+
+
+def compile_predicate(expression, schema=SCHEMA):
+    """Bind *expression* against *schema* (as the binder does before any
+    backend runs), then compile it as a batch predicate."""
+    return columnar.compile_predicate(bind_expression(expression, schema))
+
+
+def compile_projection(expressions, schema=SCHEMA):
+    """Bind, then compile *expressions* as a batch projection."""
+    return columnar.compile_projection(
+        [bind_expression(expression, schema) for expression in expressions])
 
 
 @contextlib.contextmanager
@@ -73,7 +92,8 @@ def canonical(rows):
 
 
 def rowwise(expression, rows=ROWS, schema=SCHEMA):
-    context = EvalContext(schema=schema, row=None)
+    bind_expression(expression, schema)
+    context = EvalContext()
     out = []
     for row in rows:
         context.row = row
@@ -165,7 +185,7 @@ class TestLogicAndArithmetic:
             [BinaryOp("||", ColumnRef("s"), Literal("!")),
              BinaryOp("||", Literal("v="), ColumnRef("s")),
              BinaryOp("||", Literal("a"), Literal("b")),
-             BinaryOp("||", ColumnRef("s"), ColumnRef("s"))], SCHEMA)
+             BinaryOp("||", ColumnRef("s"), ColumnRef("s"))])
         assert project is not None
         rows = project(batch())
         assert rows[0] == ("x!", "v=x", "ab", "xx")
@@ -196,7 +216,7 @@ class TestNullTestsAndRanges:
 class TestParameters:
     def test_parameter_reads_thread_local_binding_per_batch(self):
         predicate = BinaryOp(">", ColumnRef("a"), Parameter(0))
-        mask = compile_predicate(predicate, SCHEMA)
+        mask = compile_predicate(predicate)
         with bound_parameters((1,)):
             first = mask(batch())
             expected = rowwise(predicate)
@@ -215,29 +235,37 @@ class TestUnsupportedShapes:
                                Literal("big"))], Literal("small")),
     ])
     def test_unsupported_nodes_refuse_to_compile(self, expression):
-        assert compile_predicate(expression, SCHEMA) is None
+        assert compile_predicate(expression) is None
 
     def test_unsupported_operand_poisons_the_tree(self):
         wrapped = BinaryOp("and",
                            BinaryOp(">", ColumnRef("a"), Literal(1)),
                            Like(ColumnRef("s"), Literal("x%")))
-        assert compile_predicate(wrapped, SCHEMA) is None
+        assert compile_predicate(wrapped) is None
         assert compile_predicate(
             UnaryOp("not", Like(ColumnRef("s"), Literal("x%"))),
             SCHEMA) is None
         assert compile_predicate(
-            IsNull(Like(ColumnRef("s"), Literal("x%"))), SCHEMA) is None
+            IsNull(Like(ColumnRef("s"), Literal("x%")))) is None
         assert compile_predicate(
             Between(ColumnRef("a"), Like(ColumnRef("s"), Literal("x%")),
-                    Literal(2)), SCHEMA) is None
+                    Literal(2))) is None
 
-    def test_unknown_or_ambiguous_column_refuses_to_compile(self):
-        assert compile_predicate(
-            BinaryOp("=", ColumnRef("missing"), Literal(1)), SCHEMA) is None
+    def test_unknown_or_ambiguous_column_fails_to_bind(self):
+        # Name resolution happens once, in the binder, before any batch
+        # compiles.
+        with pytest.raises(UnknownColumnError):
+            compile_predicate(BinaryOp("=", ColumnRef("missing"), Literal(1)))
         duplicated = Schema([Column("a", qualifier="t1"),
                              Column("a", qualifier="t2")])
-        assert compile_predicate(
-            BinaryOp("=", ColumnRef("a"), Literal(1)), duplicated) is None
+        with pytest.raises(AmbiguousColumnError):
+            compile_predicate(BinaryOp("=", ColumnRef("a"), Literal(1)),
+                              duplicated)
+
+    def test_correlated_column_refuses_to_compile(self):
+        outer = ColumnRef("a", depth=1, index=0)
+        assert columnar.compile_predicate(
+            BinaryOp("=", outer, Literal(1))) is None
 
     def test_projection_refuses_when_any_output_is_unsupported(self):
         assert compile_projection(
@@ -245,7 +273,7 @@ class TestUnsupportedShapes:
             SCHEMA) is None
 
     def test_empty_projection_yields_empty_rows(self):
-        project = compile_projection([], SCHEMA)
+        project = compile_projection([])
         assert project(batch()) == [()] * len(ROWS)
 
 
@@ -303,9 +331,11 @@ class TestExecutorIntegration:
         # executor must rescue the batch row-at-a-time, which raises the
         # interpreter's exact error here (every row reaches the operand) —
         # never a different answer.
+        # (S is untyped, so the binder cannot refuse the predicate
+        # statically; the value check at run time does.)
         db = MayBMS(backend="wsd")
         db.execute_script("""
-        create table T (S varchar, N integer);
+        create table T (S, N integer);
         insert into T values ('x', 1);
         create table U as select S, N from T repair by key S weight N;
         """)
@@ -314,29 +344,29 @@ class TestExecutorIntegration:
             db.execute("select possible N from U where S or N > 0;")
         assert db.backend.stats.rowwise_fallbacks > fallbacks_before
 
-    def test_bare_column_conjunct_drops_rows_like_the_interpreter(self):
-        # The planner splits AND into conjunct filters, so a bare varchar
-        # column can become a whole predicate.  The interpreted loop keeps
-        # a row only when evaluate() `is True`, so the string drops the row
-        # without an error — the columnar mask must do exactly the same.
-        # (The explicit backend raises ExpressionError on this predicate
-        # instead, so the reference here is the executor's own interpreted
-        # loop, forced by refusing to compile any batch.)
-        db = MayBMS(backend="wsd")
-        db.execute_script("""
-        create table T (S varchar, N integer);
-        insert into T values ('x', 1);
-        create table U as select S, N from T repair by key S weight N;
-        """)
+    def test_bare_column_conjunct_is_refused_like_the_interpreter(self):
+        # The planner splits AND into conjunct filters, so a bare column can
+        # become a whole predicate.  A predicate must be boolean or NULL: a
+        # declared varchar is refused before execution (also through a
+        # CREATE TABLE AS table, which keeps the declared types), and an
+        # untyped column holding a string raises in the columnar mask and in
+        # the interpreted loop alike, on both backends.
         query = "select possible N from U where S and N > 0;"
-        result = db.execute(query)
-        fallbacks = db.backend.stats.rowwise_fallbacks
-        with force_rowwise():
-            baseline = db.execute(query)
-        assert db.backend.stats.rowwise_fallbacks > fallbacks
-        assert result.rows() == baseline.rows() == []
+        for declared, error in (("varchar", AnalysisError),
+                                ("", ExpressionError)):
+            for backend in ("wsd", "explicit"):
+                db = MayBMS(backend=backend)
+                db.execute_script(f"""
+                create table T (S {declared}, N integer);
+                insert into T values ('x', 1);
+                create table U as select S, N from T repair by key S weight N;
+                """)
+                with pytest.raises(error):
+                    db.execute(query)
+                with force_rowwise(), pytest.raises(error):
+                    db.execute(query)
 
-    def test_hash_join_keys_batch_columnar(self):
+    def test_hash_join_reads_bound_key_positions(self):
         link = """
         create table L (A varchar, T integer);
         insert into L values ('a1', 1);
@@ -345,9 +375,9 @@ class TestExecutorIntegration:
         query = "select conf, T from I, L where I.A = L.A and B > 12;"
         db = self.build()
         db.execute_script(link)
-        before = db.backend.stats.columnar_batches
+        before = db.backend.stats.rowwise_fallbacks
         result = db.execute(query)
-        assert db.backend.stats.columnar_batches > before
+        assert db.backend.stats.rowwise_fallbacks == before
         explicit = self.build("explicit")
         explicit.execute_script(link)
         assert canonical(result.rows()) == \

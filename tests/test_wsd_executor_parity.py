@@ -34,11 +34,13 @@ from repro.datasets import (
     figure3_whale_worlds,
 )
 from repro.errors import (
+    AnalysisError,
+    ExpressionError,
     ReproError,
     UnknownRelationError,
     UnsupportedFeatureError,
 )
-from repro.sqlparser.ast_nodes import ChoiceOfClause, CreateTableAs
+from repro.sqlparser.ast_nodes import CreateTableAs
 from repro.sqlparser.parser import parse_statement
 from repro.tracking import attack_possibility_sql, protective_cow_view_sql
 from repro.tracking.queries import group_by_adult_position_sql
@@ -995,13 +997,9 @@ class TestViewsAndDerivedTables:
         assert answers[0] == answers[1] == answers[2], inner
 
 
-def refused_statements(sql, choice=None):
-    """The select *sql* and ``CREATE TABLE T AS`` it, as parsed statements.
-    *choice* adds ``choice of`` to the first FROM item, which already
-    carries ``repair by key`` — a combination the grammar cannot spell."""
+def refused_statements(sql):
+    """The select *sql* and ``CREATE TABLE T AS`` it, as parsed statements."""
     select = parse_statement(sql)
-    if choice is not None:
-        select.from_clause[0].choice = ChoiceOfClause([choice])
     return select, CreateTableAs("T", select)
 
 
@@ -1012,19 +1010,14 @@ class TestDecorationRefusals:
     need world enumeration.  The explicit backend answers them: the tests
     document the gap."""
 
-    @pytest.mark.parametrize("sql, choice", [
-        ("select possible * from (select Pos from I repair by key Id) d;",
-         None),
-        ("select possible * from (select Id, Pos from I) d "
-         "repair by key Id;", None),
-        ("select possible * from (select possible Id, Pos from I) d "
-         "repair by key Id;", "Pos"),
-    ], ids=["uncertain-relation", "uncertain-derived-table",
-            "repair-and-choice"])
-    def test_refused_on_wsd_answered_on_explicit(self, sql, choice):
+    @pytest.mark.parametrize("sql", [
+        "select possible * from (select Pos from I repair by key Id) d;",
+        "select possible * from (select Id, Pos from I) d repair by key Id;",
+    ], ids=["uncertain-relation", "uncertain-derived-table"])
+    def test_refused_on_wsd_answered_on_explicit(self, sql):
         explicit, wsd = whale_sessions()
         messages = []
-        for statement in refused_statements(sql, choice):
+        for statement in refused_statements(sql):
             with pytest.raises(UnsupportedFeatureError) as caught:
                 wsd.execute_statement(statement)
             messages.append(str(caught.value))
@@ -1032,3 +1025,140 @@ class TestDecorationRefusals:
         assert messages[0] == messages[1]
         assert "multiplies worlds" in messages[0]
         assert explicit.execute("select possible * from T;").rows()
+
+
+#: ``T(S, N)`` = ('a', 1), ('b', 0), ('c', 3), with declared types or with
+#: none (every column ``ANY``).
+BOOLEAN_CONTEXT_SETUP = {
+    "declared": "create table T (S text, N integer);",
+    "untyped": "create table T (S, N);",
+}
+
+#: Predicates over non-boolean values in every boolean context — WHERE,
+#: AND / OR / NOT operands, CASE WHEN, HAVING and assert — plus boolean
+#: controls.  A predicate must be boolean or NULL.
+BOOLEAN_CONTEXT_CORPUS = [
+    "select possible S from T where N;",
+    "select possible S from T where N and N >= 0;",
+    "select possible S from T where N or false;",
+    "select possible S from T where not N;",
+    "select possible S from T "
+    "where case when N then true else false end;",
+    "select possible S from T where S and N > 0;",
+    "select possible S from T group by S, N having N;",
+    "select possible S from T assert exists(select * from T where N);",
+]
+
+BOOLEAN_CONTEXT_CONTROLS = [
+    ("select possible S from T where N > 0 and N >= 0;", {"a", "c"}),
+    ("select possible S from T where not (N > 0) or false;", {"b"}),
+    ("select possible S from T "
+     "where case when N > 0 then true else false end;", {"a", "c"}),
+    ("select possible S from T group by S, N having N > 0;", {"a", "c"}),
+    ("select possible S from T assert exists(select * from T where N > 2);",
+     {"a", "b", "c"}),
+]
+
+
+def boolean_context_sessions(kind):
+    sessions = []
+    for backend in ("explicit", "wsd"):
+        db = MayBMS(backend=backend)
+        db.execute(BOOLEAN_CONTEXT_SETUP[kind])
+        db.execute("insert into T values ('a', 1), ('b', 0), ('c', 3);")
+        sessions.append(db)
+    return sessions
+
+
+class TestBooleanContextParity:
+    """One predicate rule on both backends (PostgreSQL's): a declared
+    non-boolean type is refused by the binder before any world or component
+    is touched, and a non-boolean value of an untyped column raises when it
+    is evaluated — the same error class on both backends, and never rows
+    that one backend keeps and the other drops."""
+
+    @pytest.mark.parametrize("query", BOOLEAN_CONTEXT_CORPUS)
+    def test_declared_non_boolean_is_refused_before_execution(self, query):
+        from repro.core.executor import Executor
+        from repro.wsd.execute import WSDExecutor
+
+        untouched = AssertionError("the binder should have refused this")
+        for db in boolean_context_sessions("declared"):
+            with mock.patch.object(Executor, "evaluate_query",
+                                   side_effect=untouched), \
+                    mock.patch.object(WSDExecutor, "evaluate_query",
+                                      side_effect=untouched), \
+                    pytest.raises(AnalysisError):
+                db.execute(query)
+
+    @pytest.mark.parametrize("query", BOOLEAN_CONTEXT_CORPUS)
+    def test_untyped_non_boolean_raises_on_both(self, query):
+        explicit, wsd = boolean_context_sessions("untyped")
+        assert run_on_both(explicit, wsd, query) is ExpressionError
+
+    def test_a_row_leaves_at_its_first_conjunct_not_true(self):
+        # `S = null` is NULL on every row, so no row reaches the untyped
+        # bare `N` on either backend: the same empty answer, no error.
+        for db in boolean_context_sessions("untyped"):
+            assert db.execute("select possible S from T "
+                              "where S = null and N;").rows() == []
+
+    def test_join_conjuncts_filter_at_the_same_stage(self):
+        # Both backends filter with a conjunct as soon as the joined prefix
+        # holds its columns, so the bare untyped `A.N` is evaluated on A's
+        # row (and raises) on both, although `B.M > 0` is NULL.
+        sessions = []
+        for backend in ("explicit", "wsd"):
+            db = MayBMS(backend=backend)
+            for statement in ("create table A (K, N);",
+                              "create table B (K, M);",
+                              "insert into A values (1, 1);",
+                              "insert into B values (1, null);"):
+                db.execute(statement)
+            sessions.append(db)
+        assert run_on_both(*sessions, "select possible A.K from A, B "
+                                      "where B.M > 0 and A.N;") \
+            is ExpressionError
+
+    @pytest.mark.parametrize("kind", sorted(BOOLEAN_CONTEXT_SETUP))
+    @pytest.mark.parametrize("query, expected", BOOLEAN_CONTEXT_CONTROLS)
+    def test_boolean_predicates_answer_alike(self, kind, query, expected):
+        explicit, wsd = boolean_context_sessions(kind)
+        for db in (explicit, wsd):
+            assert {row[0] for row in db.execute(query).rows()} == expected
+
+
+class TestOrderByUnselectedColumn:
+    """ORDER BY resolves against the select items first, then the input
+    columns, so a column that is not selected still orders the answer."""
+
+    @pytest.mark.parametrize("query, expected", [
+        ("select S from T order by N;", [("b",), ("a",), ("c",)]),
+        ("select S from T order by N desc;", [("c",), ("a",), ("b",)]),
+        ("select S, N + 1 as M from T order by T.N desc limit 2;",
+         [("c", 4), ("a", 2)]),
+    ])
+    def test_orders_by_an_input_column(self, query, expected):
+        for db in boolean_context_sessions("declared"):
+            result = db.execute(query)
+            answers = ([result.relation] if result.is_rows()
+                       else [answer.relation
+                             for answer in result.world_answers])
+            assert [answer.rows for answer in answers] == [expected]
+            assert answers[0].schema.names() == \
+                (["S"] if "M" not in query else ["S", "M"])
+
+    def test_distinct_needs_the_order_key_selected(self):
+        explicit, wsd = boolean_context_sessions("declared")
+        assert run_on_both(explicit, wsd,
+                           "select distinct S from T order by N;") \
+            is AnalysisError
+
+
+def test_ungrouped_column_of_an_empty_group_raises_alike():
+    """A column outside any aggregate has no row to read in the one group
+    a global aggregate keeps over an empty input."""
+    explicit, wsd = boolean_context_sessions("declared")
+    assert run_on_both(explicit, wsd,
+                       "select S, count(*) from T where N > 5;") \
+        is ExpressionError
